@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "JumpAtom",
     "LevyTriplet",
+    "check_covariance",
     "psd_factor",
     "characteristic_function",
     "sample_increment",
@@ -88,16 +89,12 @@ class LevyTriplet:
             raise ValueError("alpha must be finite")
         if cov.shape != (d, d):
             raise ValueError(f"cov must be {d}x{d}, got {cov.shape}")
-        scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 0.0)
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
-            raise ValueError("cov must be symmetric within 1e-12")
+        check_covariance(cov, "cov")
         for atom in self.jumps:
             if atom.location.shape != (d,):
                 raise ValueError("jump atom dimension mismatch")
         if not (self.trunc_radius > 0.0):
             raise ValueError("trunc_radius must be positive")
-        # fail fast on indefinite covariance
-        psd_factor(cov)
 
     @cached_property
     def gauss_factor(self) -> np.ndarray:
@@ -136,6 +133,17 @@ class LevyTriplet:
                 for a, b in zip(self.jumps, other.jumps)
             )
         )
+
+
+def check_covariance(cov: np.ndarray, name: str) -> None:
+    """Reject a square matrix that is not finite, not symmetric within 1e-12
+    (relative to its largest entry, at least 1) or not positive semidefinite."""
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"{name} must be finite")
+    scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 0.0)
+    if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric within 1e-12")
+    psd_factor(cov)
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

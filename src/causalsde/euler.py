@@ -15,8 +15,6 @@ flagged, and reported as a fraction instead of aborting a study.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -45,15 +43,6 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-
-
-def worker_count() -> int:
-    """Worker cap from CAUSAL_SDE_THREADS (default 1; results never depend on it)."""
-    raw = os.environ.get("CAUSAL_SDE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -128,21 +117,24 @@ class PathEnsemble:
         )
 
 
-def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray):
+def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=None):
     """Run the Euler recursion on a block of paths.
 
-    Returns (values, exploded_at); a path freezes to NaN at its first
-    non-finite state and the step index is recorded.
+    Returns (states, exploded_at): ``states`` has shape (n, len(keep), p)
+    and holds the states at the step indices in ``keep`` (every step when
+    None).  A path freezes to NaN at its first non-finite state and the
+    step index is recorded.
     """
     n, n_steps, _ = dz.shape
-    p = field.p
-    values = np.empty((n, n_steps + 1, p))
+    slot = {k: s for s, k in enumerate(range(n_steps + 1) if keep is None else keep)}
+    states = np.empty((n, len(slot), field.p))
     exploded = np.full(n, -1, dtype=np.int64)
     x = np.array(x0, dtype=float)
     alive = np.isfinite(x).all(axis=1)
     exploded[~alive] = 0
     x[~alive] = np.nan
-    values[:, 0] = x
+    if 0 in slot:
+        states[:, slot[0]] = x
     with np.errstate(all="ignore"):
         for k in range(1, n_steps + 1):
             a = field.eval_batch(x)
@@ -154,8 +146,9 @@ def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray):
                 alive &= ~fresh
             if bad.any():
                 x[bad] = np.nan
-            values[:, k] = x
-    return values, exploded
+            if k in slot:
+                states[:, slot[k]] = x
+    return states, exploded
 
 
 def _draw_paths(system: SdeSystem, grid: Grid, seed: int, indices: np.ndarray):
@@ -179,46 +172,37 @@ def driver_increments(triplet: LevyTriplet, grid: Grid, n_paths: int, seed: int)
     return dz
 
 
+def _simulate_chunked(system: SdeSystem, grid: Grid, n_paths: int, seed: int, keep=None):
+    """Run ``n_paths`` paths in chunks; path i always draws from its own stream."""
+    n_keep = grid.n_steps + 1 if keep is None else len(keep)
+    states = np.empty((n_paths, n_keep, system.p))
+    exploded = np.empty(n_paths, dtype=np.int64)
+    indices = np.arange(n_paths)
+    for b0 in range(0, n_paths, _CHUNK):
+        b1 = min(b0 + _CHUNK, n_paths)
+        x0, dz = _draw_paths(system, grid, seed, indices[b0:b1])
+        states[b0:b1], exploded[b0:b1] = _euler_paths(system.coeff, x0, dz, keep)
+        del x0, dz  # free this chunk's increments before the next chunk draws its own
+    return states, exploded
+
+
 def simulate(system: SdeSystem, grid: Grid, n_paths: int, seed: int) -> PathEnsemble:
     """Euler ensemble; deterministic given (system, grid, n_paths, seed).
 
     Path i draws its initial state and increments from its own
-    counter-derived stream, so results do not depend on chunking or the
-    worker count.
+    counter-derived stream, so results do not depend on chunking.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    values = np.empty((n_paths, grid.n_steps + 1, system.p))
-    exploded = np.empty(n_paths, dtype=np.int64)
-    indices = np.arange(n_paths)
-
-    def run(b0: int, b1: int):
-        x0, dz = _draw_paths(system, grid, seed, indices[b0:b1])
-        v, e = _euler_paths(system.coeff, x0, dz)
-        values[b0:b1] = v
-        exploded[b0:b1] = e
-
-    _run_chunked(run, n_paths)
+    values, exploded = _simulate_chunked(system, grid, n_paths, seed)
     return PathEnsemble(
         grid=grid,
         labels=system.labels,
         values=values,
         seed=int(seed),
-        path_indices=indices,
+        path_indices=np.arange(n_paths),
         exploded_at=exploded,
     )
-
-
-def _run_chunked(run, n_paths: int, chunk: int | None = None):
-    chunk = chunk or _CHUNK
-    bounds = [(b, min(b + chunk, n_paths)) for b in range(0, n_paths, chunk)]
-    workers = worker_count()
-    if workers == 1 or len(bounds) == 1:
-        for b0, b1 in bounds:
-            run(b0, b1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: run(*ab), bounds))
 
 
 def simulate_shared(
@@ -287,39 +271,10 @@ def simulate_slices(
         raise ValueError("need at least one positive time")
     grid = Grid(times[-1], delta)
     keep = [grid.index_of(t) for t in times]
-    states = [np.empty((n_paths, system.p)) for _ in times]
-    exploded = np.empty(n_paths, dtype=np.int64)
-    indices = np.arange(n_paths)
-
-    def run(b0: int, b1: int):
-        x0, dz = _draw_paths(system, grid, seed, indices[b0:b1])
-        x = np.array(x0)
-        expl = np.full(b1 - b0, -1, dtype=np.int64)
-        alive = np.isfinite(x).all(axis=1)
-        expl[~alive] = 0
-        x[~alive] = np.nan
-        pos = {k: s for k, s in zip(keep, range(len(keep)))}
-        if 0 in pos:
-            states[pos[0]][b0:b1] = x
-        with np.errstate(all="ignore"):
-            for k in range(1, grid.n_steps + 1):
-                a = system.coeff.eval_batch(x)
-                x = x + np.einsum("npd,nd->np", a, dz[:, k - 1])
-                bad = ~np.isfinite(x).all(axis=1)
-                fresh = bad & alive
-                if fresh.any():
-                    expl[fresh] = k
-                    alive &= ~fresh
-                if bad.any():
-                    x[bad] = np.nan
-                if k in pos:
-                    states[pos[k]][b0:b1] = x
-        exploded[b0:b1] = expl
-
-    _run_chunked(run, n_paths)
+    states, exploded = _simulate_chunked(system, grid, n_paths, seed, keep)
     return SliceSample(
         times=tuple(times),
-        states=tuple(states),
+        states=tuple(states[:, s].copy() for s in range(len(keep))),
         exploded_at=exploded,
         labels=system.labels,
     )
@@ -449,10 +404,12 @@ def check_commutation(
 
     Route A intervenes in the Euler SEM (holding the target at every
     layer) and evaluates it; route B discretizes the postintervention
-    system.  Both consume the same increments, and for constant held
-    values they execute identical arithmetic, so the reported maximum
-    discrepancy over paths, grid points and untouched coordinates should
-    vanish to rounding.
+    system.  Both consume the same increments.  The held vertex of layer
+    k reads the other coordinates of layer k, as route B substitutes
+    ``zeta(X_k^{-m})`` into step k+1, so for every hold the two routes
+    execute identical arithmetic and the reported maximum discrepancy
+    over paths, grid points and untouched coordinates should vanish to
+    rounding.
     """
     p, m = system.p, spec.target
     indices = np.arange(n_paths)
@@ -468,9 +425,8 @@ def check_commutation(
         if spec.is_constant:
             assignments[("x", k, m)] = spec.constant()
         else:
-            layer = k - 1 if k > 0 else 0
-            read = tuple(("x", layer, j) for j in range(p) if j != m)
-            assignments[("x", k, m)] = (read, _lagged_zeta(spec, read))
+            read = tuple(("x", k, j) for j in range(p) if j != m)
+            assignments[("x", k, m)] = (read, _held_zeta(spec, read))
     intervened = intervene_sem(sem, assignments)
     noise = {("dz", k): dz[:, k - 1] for k in range(1, grid.n_steps + 1)}
     env = intervened.evaluate(noise)
@@ -500,7 +456,7 @@ def check_commutation(
     }
 
 
-def _lagged_zeta(spec: InterventionSpec, read):
+def _held_zeta(spec: InterventionSpec, read):
     def zeta(parent_values):
         ys = np.stack([np.asarray(parent_values[q], dtype=float) for q in read], axis=1)
         return spec.apply(ys)

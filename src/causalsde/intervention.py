@@ -49,8 +49,9 @@ class InterventionSpec:
 
     A non-constant value is a map of the reduced state vector: an
     :class:`Expression` over x1..x(p-1) indexing the remaining coordinates
-    in their original order, or an equivalent callable.  Time-dependent
-    values are not expressible, by construction.
+    in their original order, or an equivalent callable.  An expression
+    without variables is folded to its constant.  Time-dependent values
+    are not expressible, by construction.
     """
 
     target: int
@@ -63,8 +64,12 @@ class InterventionSpec:
         v = self.value
         if isinstance(v, str):
             v = parse_expression(v)
-        elif isinstance(v, (int, float, np.floating, np.integer)):
+        if isinstance(v, Expression) and not v.variables:
+            v = float(v(np.zeros(0)))
+        if isinstance(v, (int, float, np.floating, np.integer)):
             v = float(v)
+            if not np.isfinite(v):
+                raise ValueError(f"held constant must be finite, got {v}")
         elif not isinstance(v, Expression) and not callable(v):
             raise TypeError("value must be a constant, expression, or callable")
         object.__setattr__(self, "value", v)
@@ -152,7 +157,6 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
     field = CoefficientField(
         p=p - 1,
         d=orig.d,
-        func=lambda y: batch(y[None, :])[0],
         batch_func=batch,
         declared_dependence=declared,
         singular_points=singular,
@@ -200,7 +204,6 @@ def embed_constant_intervention(system: SdeSystem, m: int, zeta: float) -> SdeSy
     field = CoefficientField(
         p=p,
         d=orig.d,
-        func=lambda x: batch(x[None, :])[0],
         batch_func=batch,
         declared_dependence=declared,
         singular_points=orig.singular_points,

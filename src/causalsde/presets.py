@@ -136,7 +136,6 @@ def _two_sig_field_lower() -> CoefficientField:
     return field_from_callable(
         2,
         2,
-        lambda x: batch(x[None, :])[0],
         batch_func=batch,
         declared_dependence=dep,
         singular_points=(np.zeros(2),),
@@ -161,7 +160,6 @@ def _two_sig_field_upper() -> CoefficientField:
     return field_from_callable(
         2,
         2,
-        lambda x: batch(x[None, :])[0],
         batch_func=batch,
         declared_dependence=dep,
         singular_points=(np.zeros(2),),

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .driver import LevyTriplet
+from .driver import LevyTriplet, check_covariance, psd_factor
 from .expr import Expression, parse_expression
 
 __all__ = [
@@ -106,6 +106,7 @@ class InitialLaw:
             cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
             if cov.shape != (mean.size, mean.size):
                 raise ValueError("initial covariance shape mismatch")
+            check_covariance(cov, "initial covariance")
             object.__setattr__(self, "cov", cov)
 
     @property
@@ -118,8 +119,6 @@ class InitialLaw:
 
     @cached_property
     def _factor(self) -> np.ndarray:
-        from .driver import psd_factor
-
         return psd_factor(self.cov)
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
@@ -148,8 +147,9 @@ class InitialLaw:
 class CoefficientField:
     """Pure mapping from states in R^p to p x d coefficient matrices.
 
-    ``func`` evaluates one state; ``batch_func``, when provided, evaluates a
-    stack of states in one call and must agree with ``func`` elementwise.
+    ``func`` evaluates one state; ``batch_func`` evaluates a stack of states
+    in one call and must agree with ``func`` elementwise.  At least one is
+    required; a missing ``func`` is derived from ``batch_func``.
     ``declared_dependence[i, j]`` means some entry of row j may depend on
     coordinate i.  ``singular_points`` lists isolated states (for example a
     non-differentiable origin) excluded from dependence probing, and
@@ -158,7 +158,7 @@ class CoefficientField:
 
     p: int
     d: int
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[np.ndarray], np.ndarray] | None = None
     batch_func: Callable[[np.ndarray], np.ndarray] | None = None
     declared_dependence: np.ndarray | None = None
     singular_points: tuple = ()
@@ -167,6 +167,11 @@ class CoefficientField:
     validator: Callable[[np.ndarray], None] | None = None
 
     def __post_init__(self):
+        if self.func is None:
+            if self.batch_func is None:
+                raise ValueError("a coefficient field needs func or batch_func")
+            batch_func = self.batch_func
+            object.__setattr__(self, "func", lambda x: batch_func(x[None, :])[0])
         if self.declared_dependence is not None:
             dep = np.asarray(self.declared_dependence, dtype=bool)
             if dep.shape != (self.p, self.p):
@@ -221,7 +226,7 @@ def constant_field(matrix: np.ndarray) -> CoefficientField:
 def field_from_callable(
     p: int,
     d: int,
-    func: Callable[[np.ndarray], np.ndarray],
+    func: Callable[[np.ndarray], np.ndarray] | None = None,
     batch_func: Callable[[np.ndarray], np.ndarray] | None = None,
     **meta,
 ) -> CoefficientField:
@@ -261,7 +266,6 @@ def field_from_expressions(rows: list[list[str | Expression]], p: int | None = N
     return CoefficientField(
         p=p_eff,
         d=d,
-        func=lambda x: batch(x[None, :])[0],
         batch_func=batch,
         declared_dependence=dep,
         source="expression",
@@ -301,7 +305,6 @@ def drift_diffusion_field(
     return CoefficientField(
         p=p,
         d=n_wiener + 1,
-        func=lambda x: batch(x[None, :])[0],
         batch_func=batch,
         **meta,
     )
@@ -384,13 +387,19 @@ def probe_points(
 ) -> np.ndarray:
     """Quasi-uniform probe states in the field's box, keeping clear of
     declared singular points."""
+    return _probe_grid(field, n_points, box, [0.0], clearance)
+
+
+def _probe_grid(field: CoefficientField, n_points: int, box, shifts, clearance: float) -> np.ndarray:
+    """Sobol points of the box whose every shifted copy ``pts + shift``
+    stays more than ``clearance`` away from each declared singular point."""
     box_arr = field.default_probe_box() if box is None else np.asarray(box, dtype=float)
     pts = _sobol_points(n_points, box_arr)
-    if field.singular_points:
-        keep = np.ones(len(pts), dtype=bool)
-        for s in field.singular_points:
-            keep &= np.linalg.norm(pts - s, axis=1) > clearance
-        pts = pts[keep]
+    keep = np.ones(len(pts), dtype=bool)
+    for s in field.singular_points:
+        for shift in shifts:
+            keep &= np.linalg.norm(pts + shift - s, axis=1) > clearance
+    pts = pts[keep]
     if len(pts) == 0:
         raise ValueError("no probe points left after excluding singular neighborhoods")
     return pts
@@ -419,17 +428,8 @@ def probe_signature(
         raise ValueError("tol must be nonnegative")
     field = system.coeff
     p = field.p
-    box_arr = field.default_probe_box() if box is None else np.asarray(box, dtype=float)
-    pts = _sobol_points(n_points, box_arr)
-    if field.singular_points:
-        keep = np.ones(len(pts), dtype=bool)
-        probes = [pts] + [pts + perturbation * np.eye(p)[i] for i in range(p)]
-        for s in field.singular_points:
-            for q in probes:
-                keep &= np.linalg.norm(q - s, axis=1) > 1e-3
-        pts = pts[keep]
-    if len(pts) == 0:
-        raise ValueError("no probe points left after excluding singular neighborhoods")
+    shifts = [0.0] + [perturbation * np.eye(p)[i] for i in range(p)]
+    pts = _probe_grid(field, n_points, box, shifts, 1e-3)
     base = field.eval_batch(pts)
     if not np.all(np.isfinite(base)):
         bad = pts[~np.isfinite(base).all(axis=(1, 2))][0]

@@ -75,6 +75,27 @@ class TestConfigLoading:
         )
         assert not cfg.intervention.is_constant
 
+    @pytest.mark.parametrize("value", ["1.0", "4 * 0.25"])
+    def test_variable_free_intervention_value_is_constant(self, value):
+        cfg = load_config(
+            {
+                "system": {"kind": "builtin", "name": "ou"},
+                "intervention": {"target": "x1", "value": value},
+            }
+        )
+        assert cfg.intervention.is_constant
+        assert cfg.intervention.constant() == 1.0
+
+    @pytest.mark.parametrize("value", ["1/0", "0/0", float("inf")])
+    def test_non_finite_intervention_constant_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(
+                {
+                    "system": {"kind": "builtin", "name": "ou"},
+                    "intervention": {"target": "x1", "value": value},
+                }
+            )
+
     def test_ou_config(self):
         cfg = load_config(
             {

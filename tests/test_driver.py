@@ -46,6 +46,10 @@ class TestTripletValidation:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             LevyTriplet(dim=2, alpha=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_non_finite_cov_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            LevyTriplet(dim=2, alpha=np.zeros(2), cov=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_zero_jump_location_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             JumpAtom(rate=1.0, location=np.zeros(2))

@@ -89,13 +89,12 @@ class TestSimulate:
         b = simulate(system, Grid(0.5, 2.0**-6), 37, seed=4)
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_worker_count_does_not_change_values(self, monkeypatch):
+    def test_chunk_size_does_not_change_values(self, monkeypatch):
         system = load_builtin("ou").system
-        serial = simulate(system, Grid(0.5, 2.0**-5), 40, seed=6)
-        monkeypatch.setenv("CAUSAL_SDE_THREADS", "4")
+        whole = simulate(system, Grid(0.5, 2.0**-5), 40, seed=6)
         monkeypatch.setattr("causalsde.euler._CHUNK", 16)
-        threaded = simulate(system, Grid(0.5, 2.0**-5), 40, seed=6)
-        np.testing.assert_array_equal(serial.values, threaded.values)
+        chunked = simulate(system, Grid(0.5, 2.0**-5), 40, seed=6)
+        np.testing.assert_array_equal(whole.values, chunked.values)
 
     def test_explosion_freezes_and_flags(self):
         field = field_from_expressions([["x1 * x1 * x1"]])  # supercritical growth
@@ -221,12 +220,14 @@ class TestCommutation:
         held = simulate(reduced, grid, 20, seed=5)
         np.testing.assert_array_equal(held.values[:, :, 0], observational.values[:, :, 0])
 
-    def test_non_constant_map_runs(self):
+    @pytest.mark.parametrize("delta", [2.0**-5, 2.0**-7, 2.0**-9])
+    def test_non_constant_map_runs(self, delta):
         system = load_builtin("ou").system
         report = check_commutation(
-            system, InterventionSpec(0, "0.5 * x1"), Grid(0.5, 2.0**-5), 10, seed=1
+            system, InterventionSpec(0, "0.5 * x1"), Grid(0.5, delta), 10, seed=1
         )
-        assert np.isfinite(report["max_discrepancy"])
+        assert report["max_discrepancy"] <= 1e-12
+        assert report["passed"]
 
 
 class TestConvergence:

@@ -65,6 +65,10 @@ class TestCoefficientEvaluation:
         with pytest.raises(CoefficientOverflowError, match="coefficient overflow"):
             evaluate_coeff(system, np.zeros(1))
 
+    def test_field_needs_func_or_batch_func(self):
+        with pytest.raises(ValueError, match="func or batch_func"):
+            field_from_callable(1, 1)
+
     def test_batch_matches_scalar(self):
         field = field_from_expressions([["x1 + x2", "x1 * x2"], ["sqrt(abs(x2))", "1"]])
         xs = np.array([[1.0, 2.0], [-0.5, 4.0]])
@@ -197,6 +201,18 @@ class TestInitialLaw:
         draws = law.sample(path_stream(0, 0), 50_000)
         np.testing.assert_allclose(draws.mean(axis=0), law.mean, atol=0.03)
         np.testing.assert_allclose(np.cov(draws.T), law.cov, atol=0.05)
+
+    @pytest.mark.parametrize(
+        "cov, message",
+        [
+            ([[1.0, 2.0], [0.0, 1.0]], "symmetric"),
+            ([[1.0, 0.0], [0.0, -1.0]], "not positive semidefinite"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+        ],
+    )
+    def test_bad_covariance_rejected_at_construction(self, cov, message):
+        with pytest.raises(ValueError, match=message):
+            InitialLaw(np.zeros(2), np.array(cov))
 
     def test_drop_and_fix(self):
         law = InitialLaw(np.array([1.0, 2.0, 3.0]), np.eye(3))
