@@ -24,11 +24,14 @@ from causalsde import (
     check_commutation,
     convergence_study,
     field_from_expressions,
+    identifiability_check,
+    intervene_sde,
     semigroup_estimate,
     simulate,
     simulate_shared,
     simulate_slices,
 )
+from causalsde._rng import derive_seed
 from causalsde.system import InitialLaw, SdeSystem
 
 
@@ -117,6 +120,46 @@ def _case_explode():
     return _digest(ens.values, ens.exploded_at, *s.states, s.exploded_at)
 
 
+def _spatial(rows) -> SdeSystem:
+    # three coordinates, a Gaussian initial law, a time coordinate and two Wiener ones
+    driver = LevyTriplet(dim=3, alpha=[1.0, 0.0, 0.0], cov=np.diag([0.0, 1.0, 0.5]))
+    initial = InitialLaw(np.array([0.5, -1.0, 0.25]), np.diag([0.25, 1.0, 0.5]))
+    return SdeSystem(field_from_expressions(rows), driver, initial)
+
+
+def _case_identifiability():
+    """KS statistics and both slices; the energy statistic and the p-values
+    go through BLAS and scipy special functions, so they stay out."""
+    sys_a = _spatial(
+        [
+            ["-x1 + 0.5 * x3", "1", "0"],
+            ["x1 - x2", "0", "0.5 * x2"],
+            ["x2 * x3 - x1", "0.25", "0"],
+        ]
+    )
+    sys_b = _spatial(
+        [
+            ["0.5 * x3 - x1", "1", "0"],
+            ["x1 - x2", "0", "x2 * 0.5"],
+            ["x3 * x2 - x1", "0.25", "0"],
+        ]
+    )
+    spec, times, n, delta, seed = InterventionSpec(1, 0.75), [0.25, 0.5], 1000, 2.0**-5, 4
+    report = identifiability_check(
+        sys_a, sys_b, spec, times, n, delta, seed, n_permutations=19, structure_points=32
+    )
+    ks = [e["statistic"] for e in report.breakdown if e["test"].startswith("ks[")]
+    slices = [
+        simulate_slices(intervene_sde(s, spec), delta, times, n, derive_seed(seed, k))
+        for k, s in ((1, sys_a), (2, sys_b))
+    ]
+    return _digest(
+        np.array(ks),
+        np.array(report.extras["n_exploded"]),
+        *(x for s in slices for x in (*s.states, s.exploded_at)),
+    )
+
+
 GOLDEN = {
     "simulate": (
         _case_simulate,
@@ -141,6 +184,10 @@ GOLDEN = {
     "semigroup_estimate": (
         _case_semigroup,
         "8b3b6b0d364164edc4ebfaa8605d467953d3313e3d2ec5c49107ba10ac1d85ab",
+    ),
+    "identifiability_check": (
+        _case_identifiability,
+        "84c7f5716293c14caf96c2325af61c919130f750627866b4e0ce9af4c42ad1d3",
     ),
     "exploding": (
         _case_explode,
