@@ -8,6 +8,7 @@ isolation and results never depend on scheduling or worker count.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +31,24 @@ def path_stream(seed: int, path_index: int) -> np.random.Generator:
         raise ValueError("path_index must be nonnegative")
     bg = np.random.Philox(counter=[0, 0, int(path_index), 0], key=_philox_key(seed))
     return np.random.Generator(bg)
+
+
+def path_streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield, per index i, a generator drawing what ``path_stream(seed, i)`` draws:
+    one Philox, built as there and re-positioned by writing its state (counter
+    ``[0, 0, i, 0]``, empty buffer), valid until the next one is requested.
+    The key is passed as the ``_philox_key`` tuple; numpy rounds it through
+    float64 when it mixes a word of 2**63 or more with a smaller one (about
+    half of all seeds), and the streams depend on that rounding.
+    """
+    bg = np.random.Philox(counter=[0, 0, 0, 0], key=_philox_key(seed))
+    g, state = np.random.Generator(bg), bg.state
+    for index in indices:
+        if index < 0:
+            raise ValueError("path_index must be nonnegative")
+        state["state"]["counter"] = [0, 0, int(index), 0]
+        bg.state = state
+        yield g
 
 
 def block_stream(seed: int, block_index: int, lane: int = 0) -> np.random.Generator:

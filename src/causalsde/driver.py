@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-
+_GROUP_VALUES = 1 << 15  # per row group in assemble_increments: temporaries stay in cache
 
 __all__ = [
     "JumpAtom",
@@ -26,6 +26,7 @@ __all__ = [
     "characteristic_function",
     "sample_increment",
     "sample_increments",
+    "assemble_increments",
     "empirical_cf",
     "default_u_grid",
 ]
@@ -221,13 +222,30 @@ def sample_increments(
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     shape = (size,) if np.isscalar(size) else tuple(size)
-    d = triplet.dim
-    out = np.broadcast_to(delta * triplet.compensated_drift, shape + (d,)).copy()
-    z = stream.standard_normal(shape + (d,))
-    out += np.sqrt(delta) * (z @ triplet.gauss_factor.T)
+    z = stream.standard_normal(shape + (triplet.dim,))
+    counts = None
     if triplet.jumps:
         counts = stream.poisson(triplet.jump_rates * delta, shape + (len(triplet.jumps),))
-        out += counts @ triplet.jump_locations
+    return assemble_increments(triplet, delta, z, counts, out=z)
+
+
+def assemble_increments(triplet: LevyTriplet, delta: float, z, counts, out) -> np.ndarray:
+    """Write ``delta * drift + sqrt(delta) * z @ L.T [+ counts @ jumps]`` into ``out``.
+
+    Works through the leading axis in row groups of about ``_GROUP_VALUES``
+    values, so ``out`` may be ``z``; a stacked group is multiplied one
+    matrix per leading row, bit-identical to assembling each row alone.
+    """
+    drift, root, factor_t = delta * triplet.compensated_drift, np.sqrt(delta), triplet.gauss_factor.T
+    rows = max(1, _GROUP_VALUES // max(1, z[:1].size))
+    for r0 in range(0, len(z), rows):
+        group = slice(r0, r0 + rows)
+        inc = z[group] @ factor_t
+        inc *= root
+        inc += drift
+        if counts is not None:
+            inc += counts[group] @ triplet.jump_locations
+        out[group] = inc
     return out
 
 

@@ -20,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rng import path_stream
-from .driver import LevyTriplet, sample_increments
+from ._rng import path_streams
+from .driver import LevyTriplet, assemble_increments
 from .intervention import InterventionSpec, SemModel, SemVertex, intervene_sde, intervene_sem
-from .system import CoefficientField, SdeSystem, SignatureGraph
+from .system import CoefficientField, InitialLaw, SdeSystem, SignatureGraph
 
 __all__ = [
     "Grid",
@@ -151,25 +151,29 @@ def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=N
     return states, exploded
 
 
-def _draw_paths(system: SdeSystem, grid: Grid, seed: int, indices: np.ndarray):
-    """Per-path initial states and increment blocks from counter-based streams."""
-    n = len(indices)
-    x0 = np.empty((n, system.p))
-    dz = np.empty((n, grid.n_steps, system.d))
-    for row, idx in enumerate(indices):
-        g = path_stream(seed, int(idx))
-        x0[row] = system.initial.sample(g, 1)[0]
-        dz[row] = sample_increments(system.driver, grid.delta, grid.n_steps, g)
+def _draw_paths(triplet: LevyTriplet, initial: InitialLaw, grid: Grid, seed: int, indices):
+    """(x0, dz) of the paths in ``indices``: path i draws its initial state, normals
+    and Poisson counts, in that order, from its own stream."""
+    n, n_steps, n_jumps = len(indices), grid.n_steps, len(triplet.jumps)
+    random_x0 = not initial.is_fixed  # a fixed law draws nothing
+    x0 = np.empty((n, initial.p)) if random_x0 else initial.sample(None, n)
+    dz = np.empty((n, n_steps, triplet.dim))
+    counts = np.empty((n, n_steps, n_jumps), dtype=np.int64) if n_jumps else None
+    lam = triplet.jump_rates * grid.delta
+    for row, g in enumerate(path_streams(seed, indices)):
+        if random_x0:
+            x0[row] = initial.sample(g, 1)[0]
+        g.standard_normal(out=dz[row])
+        if n_jumps:
+            counts[row] = g.poisson(lam, (n_steps, n_jumps))
+    assemble_increments(triplet, grid.delta, dz, counts, out=dz)
     return x0, dz
 
 
 def driver_increments(triplet: LevyTriplet, grid: Grid, n_paths: int, seed: int) -> np.ndarray:
     """The increment tensor (n_paths, n_steps, d) that simulation of a
     fixed-initial system with the same seed consumes."""
-    dz = np.empty((n_paths, grid.n_steps, triplet.dim))
-    for i in range(n_paths):
-        dz[i] = sample_increments(triplet, grid.delta, grid.n_steps, path_stream(seed, i))
-    return dz
+    return _draw_paths(triplet, InitialLaw(np.zeros(0)), grid, seed, range(n_paths))[1]
 
 
 def _simulate_chunked(system: SdeSystem, grid: Grid, n_paths: int, seed: int, keep=None):
@@ -177,10 +181,9 @@ def _simulate_chunked(system: SdeSystem, grid: Grid, n_paths: int, seed: int, ke
     n_keep = grid.n_steps + 1 if keep is None else len(keep)
     states = np.empty((n_paths, n_keep, system.p))
     exploded = np.empty(n_paths, dtype=np.int64)
-    indices = np.arange(n_paths)
     for b0 in range(0, n_paths, _CHUNK):
         b1 = min(b0 + _CHUNK, n_paths)
-        x0, dz = _draw_paths(system, grid, seed, indices[b0:b1])
+        x0, dz = _draw_paths(system.driver, system.initial, grid, seed, range(b0, b1))
         states[b0:b1], exploded[b0:b1] = _euler_paths(system.coeff, x0, dz, keep)
         del x0, dz  # free this chunk's increments before the next chunk draws its own
     return states, exploded
@@ -412,8 +415,7 @@ def check_commutation(
     rounding.
     """
     p, m = system.p, spec.target
-    indices = np.arange(n_paths)
-    x0, dz = _draw_paths(system, grid, seed, indices)
+    x0, dz = _draw_paths(system.driver, system.initial, grid, seed, range(n_paths))
 
     reduced = intervene_sde(system, spec)
     vals_b, exploded_b = _euler_paths(reduced.coeff, np.delete(x0, m, axis=1), dz)
@@ -512,10 +514,9 @@ def convergence_study(
     counts = {d: 0 for d in deltas}
     excluded = {d: 0 for d in deltas}
 
-    indices = np.arange(n_paths)
     for b0 in range(0, n_paths, _CHUNK):
         b1 = min(b0 + _CHUNK, n_paths)
-        x0, dz_f = _draw_paths(system, fine, seed, indices[b0:b1])
+        x0, dz_f = _draw_paths(system.driver, system.initial, fine, seed, range(b0, b1))
         n = b1 - b0
         if exact is None:
             ref_full, ref_expl = _euler_paths(system.coeff, x0, dz_f)

@@ -376,7 +376,7 @@ def semigroup_estimate(
     if n_ok < 2:
         raise ValueError("all paths exploded; no estimate")
     mean = total / n_ok
-    var = max(0.0, (total_sq - n_ok * mean**2) / (n_ok - 1))
+    var = (total_sq - n_ok * (mean * mean)) / (n_ok - 1)  # float ** 2 raises on overflow
     estimate = (mean - float(f(x))) / t
-    std_error = float(np.sqrt(var / n_ok)) / t
+    std_error = float(np.sqrt(max(0.0, var) / n_ok)) / t if np.isfinite(var) else float("inf")
     return SemigroupEstimate(float(estimate), std_error, n_bad)

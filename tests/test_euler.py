@@ -9,6 +9,7 @@ import pytest
 from causalsde import (
     Grid,
     InterventionSpec,
+    JumpAtom,
     LevyTriplet,
     SignatureGraph,
     build_euler_sem,
@@ -22,10 +23,13 @@ from causalsde import (
     field_from_expressions,
     intervene_sde,
     load_builtin,
+    sample_increments,
     simulate,
     simulate_shared,
     simulate_slices,
 )
+from causalsde._rng import _philox_key, path_stream
+from causalsde.euler import _draw_paths
 from causalsde.system import InitialLaw, SdeSystem, canonical_driver
 
 
@@ -150,6 +154,54 @@ class TestSharedSimulation:
         )
         with pytest.raises(ValueError, match="driver mismatch"):
             simulate_shared([other, bad], Grid(0.5, 0.25), 4, seed=0)
+
+
+def _seed_with_high_key_words(count: int) -> int:
+    # one word at or above 2**63: numpy rounds the mixed key tuple through float64
+    return next(s for s in range(100) if sum(w >= 2**63 for w in _philox_key(s)) == count)
+
+
+class TestDrawPaths:
+    """Chunk draws equal the per-path reference streams byte for byte."""
+
+    @staticmethod
+    def system(initial):
+        cov = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 0.7]])
+        jumps = (JumpAtom(1.5, [0.3, 0.0, 0.1]), JumpAtom(0.5, [0.0, -2.0, 0.0]))
+        driver = LevyTriplet(dim=3, alpha=[0.2, -0.1, 0.0], cov=cov, jumps=jumps)
+        field = field_from_expressions([["x1", "1", "x2"], ["0.5", "x1 * x2", "1"]])
+        return SdeSystem(field, driver, initial)
+
+    # 1024 steps x d = 3 puts about ten paths in one assembly group, so the
+    # 24 indices span several groups
+    grid = Grid(1.0, 2.0**-10)
+    indices = np.array([3, 17, 4, 250] + list(range(41, 81, 2)))
+
+    @pytest.mark.parametrize("high_words", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "initial",
+        [InitialLaw(np.array([0.1, 0.2])), InitialLaw(np.array([0.1, 0.2]), [[1.0, 0.4], [0.4, 0.5]])],
+        ids=["fixed", "gaussian"],
+    )
+    def test_rows_equal_path_streams(self, initial, high_words):
+        seed = _seed_with_high_key_words(high_words)
+        system = self.system(initial)
+        x0, dz = _draw_paths(system.driver, initial, self.grid, seed, self.indices)
+        for row, idx in enumerate(self.indices):
+            g = path_stream(seed, int(idx))
+            ref_x0 = initial.sample(g, 1)[0]
+            ref_dz = sample_increments(system.driver, self.grid.delta, self.grid.n_steps, g)
+            assert x0[row].tobytes() == ref_x0.tobytes()
+            assert dz[row].tobytes() == ref_dz.tobytes()
+
+    @pytest.mark.parametrize("high_words", [0, 1, 2])
+    def test_driver_increments_equal_path_streams(self, high_words):
+        seed = _seed_with_high_key_words(high_words)
+        driver = self.system(InitialLaw(np.zeros(2))).driver
+        dz = driver_increments(driver, self.grid, 25, seed)
+        for idx in range(25):
+            ref = sample_increments(driver, self.grid.delta, self.grid.n_steps, path_stream(seed, idx))
+            assert dz[idx].tobytes() == ref.tobytes()
 
 
 class TestEulerSemStructure:

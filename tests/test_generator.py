@@ -12,6 +12,7 @@ from causalsde import (
     compute_terms,
     constant_field,
     field_from_callable,
+    field_from_expressions,
     gaussian_bump,
     probe_points,
     semigroup_estimate,
@@ -244,3 +245,13 @@ class TestSemigroup:
         a = semigroup_estimate(system, f, np.ones(1), 1e-3, 20_000, seed=3)
         b = semigroup_estimate(system, f, np.ones(1), 1e-3, 20_000, seed=3)
         assert a == b
+
+    def test_huge_surviving_paths_give_infinite_std_error(self):
+        # x1^3 from 3: the survivors reach ~1e199, so the sum of squares overflows
+        driver = LevyTriplet(dim=1, alpha=[0.0], cov=[[1.0]])
+        system = SdeSystem(field_from_expressions([["x1 * x1 * x1"]]), driver, InitialLaw([3.0]))
+        f = ScalarField2(value=lambda x: x[..., 0])
+        est = semigroup_estimate(system, f, np.array([3.0]), 0.1, 3000, seed=1, n_substeps=32)
+        assert np.isfinite(est.estimate) and abs(est.estimate) > 1e100
+        assert est.std_error == np.inf
+        assert 0 < est.n_exploded < 3000
