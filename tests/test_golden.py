@@ -21,7 +21,9 @@ from causalsde import (
     JumpAtom,
     LevyTriplet,
     ScalarField2,
+    apply_generator,
     check_commutation,
+    compute_terms,
     convergence_study,
     field_from_expressions,
     identifiability_check,
@@ -160,6 +162,34 @@ def _case_identifiability():
     )
 
 
+def _case_generator():
+    """Both generator forms and the state-side terms of the planar system
+    on a 9 x 9 grid, for a cubic test function with + - * derivatives."""
+    f = ScalarField2(
+        value=lambda x: x[..., 0] * x[..., 0] * x[..., 1] - 0.5 * x[..., 1] * x[..., 1] + x[..., 0],
+        gradient=lambda x: np.stack(
+            [2.0 * x[..., 0] * x[..., 1] + 1.0, x[..., 0] * x[..., 0] - x[..., 1]], axis=-1
+        ),
+        hessian=lambda x: np.stack(
+            [
+                np.stack([2.0 * x[..., 1], 2.0 * x[..., 0]], axis=-1),
+                np.stack([2.0 * x[..., 0], -np.ones_like(x[..., 0])], axis=-1),
+            ],
+            axis=-2,
+        ),
+    )
+    system = _planar(_fixed(0.0, 0.0))
+    axis = np.linspace(-2.0, 2.0, 9)
+    pts = np.array([[u, v] for u in axis for v in axis])
+    values = [[apply_generator(system, f, x, form=form) for x in pts] for form in ("driver", "state")]
+    terms = [compute_terms(system, x) for x in pts]
+    return _digest(
+        np.array(values),
+        np.array([t.beta for t in terms]),
+        np.array([t.diffusion for t in terms]),
+    )
+
+
 GOLDEN = {
     "simulate": (
         _case_simulate,
@@ -188,6 +218,10 @@ GOLDEN = {
     "identifiability_check": (
         _case_identifiability,
         "84c7f5716293c14caf96c2325af61c919130f750627866b4e0ce9af4c42ad1d3",
+    ),
+    "generator": (
+        _case_generator,
+        "da732b8664cbcccbb49dbbd5836ba8dac31d6a01d616643d7a4692a8462ef45c",
     ),
     "exploding": (
         _case_explode,
