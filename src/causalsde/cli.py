@@ -126,28 +126,20 @@ def _cmd_signature(cfg: ExperimentConfig, out: str) -> int:
 
 def _cmd_generator(cfg: ExperimentConfig, out: str) -> int:
     system = cfg.system
-    points = probe_points(system.coeff, 4)[:3]
-    points = np.vstack([system.initial.mean[None, :], points])
+    points = np.vstack([system.initial.mean[None, :], probe_points(system.coeff, 4)[:3]])
     fields = bump_field_battery(system.p)
-    entries = []
-    for x in points:
-        terms = compute_terms(system, x)
-        entries.append(
-            {
-                "point": list(x),
-                "beta": list(terms.beta),
-                "diffusion": terms.diffusion,
-                "jump_atoms": [{"rate": r, "location": list(loc)} for r, loc in terms.atoms],
-                "values": [
-                    {
-                        "field": k,
-                        "driver_form": apply_generator(system, f, x, form="driver"),
-                        "state_form": apply_generator(system, f, x, form="state"),
-                    }
-                    for k, f in enumerate(fields)
-                ],
-            }
-        )
+    terms = compute_terms(system, points)
+    vals = [[apply_generator(system, f, points, form=fm) for fm in ("driver", "state")] for f in fields]
+    entries = [
+        {
+            "point": list(x),
+            "beta": list(terms.beta[k]),
+            "diffusion": terms.diffusion[k],
+            "jump_atoms": [{"rate": r, "location": list(loc[k])} for r, loc in terms.atoms],
+            "values": [{"field": i, "driver_form": d[k], "state_form": s[k]} for i, (d, s) in enumerate(vals)],
+        }
+        for k, x in enumerate(points)
+    ]
     report = {"points": entries, "n_fields": len(fields)}
     write_json(os.path.join(out, "generator.json"), report)
     print(f"evaluated generator at {len(points)} points, {len(fields)} test fields")

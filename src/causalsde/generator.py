@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import block_stream, derive_seed
 from .driver import sample_increments
 from .euler import Grid, _euler_paths
-from .system import SdeSystem
+from .system import SdeSystem, _eval_finite
 
 __all__ = [
     "ScalarField2",
@@ -37,10 +37,11 @@ __all__ = [
 class ScalarField2:
     """Twice-differentiable scalar test function with optional analytic derivatives.
 
-    ``value`` must accept states of shape (..., p).  Missing derivative
-    evaluators fall back to central finite differences with step
-    ``1e-5 * (1 + |x|)``; the cross-difference Hessian stencil is symmetric
-    in the coordinate pair by construction.
+    The evaluators take states of shape (..., p) and return shapes (...),
+    (..., p) and (..., p, p).  Missing derivatives fall back to central
+    finite differences with step ``1e-5 * (1 + |x|)`` per state, from one
+    ``value`` call on the stencil stack; the cross-difference Hessian
+    stencil is symmetric in the coordinate pair by construction.
     """
 
     value: callable
@@ -54,37 +55,44 @@ class ScalarField2:
         x = np.asarray(x, dtype=float)
         if self.gradient is not None:
             return np.asarray(self.gradient(x), dtype=float)
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
-        p = x.size
-        out = np.empty(p)
-        for i in range(p):
-            e = np.zeros(p)
-            e[i] = h
-            out[i] = (self(x + e) - self(x - e)) / (2 * h)
-        return out
+        h, x1, steps = _fd_stencil(x)
+        up, down = np.split(self(np.concatenate([x1 + steps, x1 - steps], axis=-2)), 2, axis=-1)
+        return (up - down) / (2 * h[..., None])
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.hessian is not None:
             return np.asarray(self.hessian(x), dtype=float)
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
-        p = x.size
-        out = np.empty((p, p))
-        f0 = float(self(x))
-        eye = np.eye(p) * h
-        for i in range(p):
-            out[i, i] = (self(x + eye[i]) - 2 * f0 + self(x - eye[i])) / h**2
-        for i in range(p):
-            for j in range(i + 1, p):
-                val = (
-                    self(x + eye[i] + eye[j])
-                    - self(x + eye[i] - eye[j])
-                    - self(x - eye[i] + eye[j])
-                    + self(x - eye[i] - eye[j])
-                ) / (4 * h**2)
-                out[i, j] = val
-                out[j, i] = val
+        h, x1, steps = _fd_stencil(x)
+        p = x.shape[-1]
+        iu, ju = np.triu_indices(p, 1)
+        ei, ej = steps[..., iu, :], steps[..., ju, :]
+        stencil = [x1, x1 + steps, x1 - steps, x1 + ei + ej, x1 + ei - ej, x1 - ei + ej, x1 - ei - ej]
+        vals = self(np.concatenate(stencil, axis=-2))
+        f0, up, down, pp, pm, mp, mm = np.split(vals, np.cumsum([1, p, p] + [iu.size] * 3), axis=-1)
+        h2 = h[..., None] ** 2
+        out = np.empty(x.shape + (p,))
+        diag = np.arange(p)
+        out[..., diag, diag] = (up - 2 * f0 + down) / h2
+        out[..., iu, ju] = out[..., ju, iu] = (pp - pm - mp + mm) / (4 * h2)
         return out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis: a stack of BLAS dots, each summing
+    as ``u @ v`` does on one pair of vectors (einsum sums in another order)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(u, u))
+
+
+def _fd_stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Finite-difference step h per state, the states with a new axis -2,
+    and the coordinate steps h e_i along that axis."""
+    h = 1e-5 * (1.0 + _norm(x))
+    return h, x[..., None, :], h[..., None, None] * np.eye(x.shape[-1])
 
 
 def gaussian_bump(
@@ -106,25 +114,31 @@ def gaussian_bump(
     quad_m = 0.5 * (quad_m + quad_m.T)
 
     def q(z):
-        return 1.0 + z @ lin_v + np.einsum("...i,ij,...j->...", z, quad_m, z)
+        return 1.0 + _dot(z, lin_v) + np.einsum("...i,ij,...j->...", z, quad_m, z)
+
+    def grad_q(z):
+        return lin_v + (2.0 * quad_m @ z[..., None])[..., 0]
+
+    def gauss(z):
+        return np.exp(-0.5 * _dot(z, z) / w2)
 
     def value(x):
+        # |z|^2 by einsum here and by BLAS dot in the derivatives; keep both, as
+        # a finite-difference stencil amplifies a last-bit change by 1 / h^2
         z = np.asarray(x, dtype=float) - c
         return q(z) * np.exp(-0.5 * np.einsum("...i,...i->...", z, z) / w2)
 
     def gradient(x):
         z = np.asarray(x, dtype=float) - c
-        g = np.exp(-0.5 * (z @ z) / w2)
-        grad_q = lin_v + 2.0 * quad_m @ z
-        return g * (grad_q - q(z) * z / w2)
+        return gauss(z)[..., None] * (grad_q(z) - q(z)[..., None] * z / w2)
 
     def hessian(x):
         z = np.asarray(x, dtype=float) - c
-        g = np.exp(-0.5 * (z @ z) / w2)
-        qv = q(z)
-        grad_q = lin_v + 2.0 * quad_m @ z
-        term = 2.0 * quad_m - (np.outer(grad_q, z) + np.outer(z, grad_q) + qv * np.eye(p)) / w2
-        return g * (term + qv * np.outer(z, z) / w2**2)
+        qv = q(z)[..., None, None]
+        gq = grad_q(z)
+        zc, zr = z[..., :, None], z[..., None, :]
+        term = 2.0 * quad_m - (gq[..., :, None] * zr + zc * gq[..., None, :] + qv * np.eye(p)) / w2
+        return gauss(z)[..., None, None] * (term + qv * (zc * zr) / w2**2)
 
     return ScalarField2(value=value, gradient=gradient, hessian=hessian)
 
@@ -148,8 +162,9 @@ def bump_field_battery(p: int, width: float = 1.5) -> list[ScalarField2]:
 
 @dataclass(frozen=True)
 class GeneratorTerms:
-    """Pointwise generator data: effective drift, diffusion matrix, and
-    the pushforward jump atoms (rate, state-space location)."""
+    """Generator data at a point, or at a stack of points along a leading
+    axis: effective drift, diffusion matrix, and the pushforward jump atoms
+    (rate, state-space location)."""
 
     point: np.ndarray
     beta: np.ndarray
@@ -163,35 +178,62 @@ class GeneratorTerms:
         return float(sum(rate for rate, _ in self.atoms))
 
 
-def compute_terms(system: SdeSystem, x: np.ndarray, r_state: float = 1.0) -> GeneratorTerms:
-    """State-side generator data at one point.
+def _states(system: SdeSystem, x) -> tuple[np.ndarray, np.ndarray]:
+    """States of shape (p,) or (n, p) and the coefficient matrices there,
+    from one ``eval_batch``; a non-finite coefficient raises."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 2 or x.shape[-1] != system.p:
+        raise ValueError(f"x must have shape ({system.p},) or (n, {system.p})")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    a = _eval_finite(system.coeff, x.reshape(-1, system.p))
+    return x, a.reshape(x.shape[:-1] + a.shape[1:])
 
-    The drift absorbs, per atom, the difference between compensating in
-    state space (image inside the radius-``r_state`` ball) and in driver
-    space (atom inside the truncation ball).
-    """
+
+def _form(trip, a: np.ndarray, form: str, r_state: float) -> tuple:
+    """Drift, diffusion matrix and (rate, jump, compensated) triples of one
+    generator form.  The state form truncates the pushforward atoms in the
+    radius-``r_state`` ball, and its drift absorbs, per atom, the
+    difference between compensating in state space and in driver space."""
+    drift, diffusion = a @ trip.alpha, a @ trip.cov @ np.swapaxes(a, -1, -2)
+    jumps = [
+        (atom.rate, a @ atom.location, np.linalg.norm(atom.location) <= trip.trunc_radius)
+        for atom in trip.jumps
+    ]
+    if form == "driver":
+        return drift, diffusion, jumps
+    if form != "state":
+        raise ValueError("form must be 'driver' or 'state'")
     if not r_state > 0:
         raise ValueError("state truncation radius must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a = system.coeff(x)
-    trip = system.driver
-    beta = a @ trip.alpha
-    atoms = []
-    for atom in trip.jumps:
-        image = a @ atom.location
-        in_driver_ball = np.linalg.norm(atom.location) <= trip.trunc_radius
-        in_state_ball = np.linalg.norm(image) <= r_state
-        beta = beta + atom.rate * (float(in_state_ball) - float(in_driver_ball)) * image
-        atoms.append((atom.rate, image))
-    diffusion = a @ trip.cov @ a.T
-    return GeneratorTerms(
-        point=x,
-        beta=beta,
-        diffusion=0.5 * (diffusion + diffusion.T),
-        atoms=tuple(atoms),
-        trunc_radius_driver=trip.trunc_radius,
-        trunc_radius_state=float(r_state),
-    )
+    state_jumps = []
+    for rate, image, in_driver_ball in jumps:
+        in_state_ball = _norm(image) <= r_state
+        drift = drift + rate * (in_state_ball - float(in_driver_ball))[..., None] * image
+        state_jumps.append((rate, image, in_state_ball))
+    return drift, 0.5 * (diffusion + np.swapaxes(diffusion, -1, -2)), state_jumps
+
+
+def compute_terms(system: SdeSystem, x: np.ndarray, r_state: float = 1.0) -> GeneratorTerms:
+    """State-side generator data at a point (p,) or a point stack (n, p)."""
+    x, a = _states(system, x)
+    beta, diffusion, jumps = _form(system.driver, a, "state", r_state)
+    atoms = tuple((rate, image) for rate, image, _ in jumps)
+    return GeneratorTerms(x, beta, diffusion, atoms, system.driver.trunc_radius, float(r_state))
+
+
+def _values(f: ScalarField2, x, drift, diffusion, jumps) -> np.ndarray:
+    """grad f . drift + tr(diffusion hess f) / 2 plus, per (rate, jump,
+    compensated) triple, rate * (f(x + jump) - f(x) - [compensated] grad f . jump)."""
+    grad, hess = f.grad(x), f.hess(x)
+    if grad.shape != x.shape or hess.shape != x.shape + x.shape[-1:]:
+        raise ValueError("test function gradient and Hessian must have shapes (..., p) and (..., p, p)")
+    value = _dot(grad, drift) + 0.5 * np.einsum("...ij,...ij->...", diffusion, hess)
+    f0 = f(x)
+    for rate, jump, compensated in jumps:
+        term = f(x + jump) - f0 - np.where(compensated, _dot(grad, jump), 0.0)
+        value = value + rate * term
+    return value
 
 
 def apply_generator(
@@ -200,44 +242,18 @@ def apply_generator(
     x: np.ndarray,
     form: str = "driver",
     r_state: float = 1.0,
-) -> float:
-    """Evaluate the generator of the system on a test function at a point.
+):
+    """Generator of the system on a test function at a point (p,), as a
+    float, or at each point of a stack (n, p), as an array.
 
     ``form="driver"`` integrates jump terms against the driver atoms with
     driver-space truncation; ``form="state"`` uses the pushforward atoms
     with state-space truncation and the correspondingly shifted drift.
     Both are exact finite sums and agree up to rounding.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    grad = f.grad(x)
-    hess = f.hess(x)
-    trip = system.driver
-    a = system.coeff(x)
-    if form == "driver":
-        value = float(grad @ (a @ trip.alpha))
-        value += 0.5 * float(np.einsum("ij,ij->", a @ trip.cov @ a.T, hess))
-        f0 = float(f(x))
-        for atom in trip.jumps:
-            jump = a @ atom.location
-            term = float(f(x + jump)) - f0
-            if np.linalg.norm(atom.location) <= trip.trunc_radius:
-                term -= float(grad @ jump)
-            value += atom.rate * term
-        return value
-    if form == "state":
-        terms = compute_terms(system, x, r_state=r_state)
-        value = float(grad @ terms.beta)
-        value += 0.5 * float(np.einsum("ij,ij->", terms.diffusion, hess))
-        f0 = float(f(x))
-        for rate, jump in terms.atoms:
-            term = float(f(x + jump)) - f0
-            if np.linalg.norm(jump) <= terms.trunc_radius_state:
-                term -= float(grad @ jump)
-            value += rate * term
-        return value
-    raise ValueError("form must be 'driver' or 'state'")
+    x, a = _states(system, x)
+    value = _values(f, x, *_form(system.driver, a, form, r_state))
+    return float(value) if value.ndim == 0 else value
 
 
 def _match_atoms(atoms_a, atoms_b, loc_tol: float = 1e-9) -> float:
@@ -277,45 +293,40 @@ def compare_generators(
     generator values, and per point the drift, diffusion (Frobenius) and
     pushforward-measure distances.  Structural equality at every point
     implies functional equality, which is what the identifiability theorem
-    consumes.
+    consumes.  A non-finite coefficient at a point raises
+    :class:`CoefficientOverflowError` naming the point.
     """
     if sys_a.p != sys_b.p:
         raise ValueError("dimension mismatch")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if fields is None:
         fields = bump_field_battery(sys_a.p)
-    per_point = []
-    max_value_diff = 0.0
-    for x in pts:
-        ta = compute_terms(sys_a, x, r_state)
-        tb = compute_terms(sys_b, x, r_state)
-        beta_dist = float(np.linalg.norm(ta.beta - tb.beta))
-        diff_dist = float(np.linalg.norm(ta.diffusion - tb.diffusion))
-        jump_dist = _match_atoms(ta.atoms, tb.atoms)
-        value_diff = 0.0
-        for f in fields:
-            va = apply_generator(sys_a, f, x, form="driver")
-            vb = apply_generator(sys_b, f, x, form="driver")
-            value_diff = max(value_diff, abs(va - vb))
-        max_value_diff = max(max_value_diff, value_diff)
-        per_point.append(
-            {
-                "point": [float(v) for v in x],
-                "beta_distance": beta_dist,
-                "diffusion_distance": diff_dist,
-                "jump_distance": jump_dist,
-                "max_value_difference": value_diff,
-            }
-        )
-    max_beta = max(e["beta_distance"] for e in per_point)
-    max_diffusion = max(e["diffusion_distance"] for e in per_point)
-    max_jump = max(e["jump_distance"] for e in per_point)
+    sides = []
+    for system in (sys_a, sys_b):
+        x, a = _states(system, pts)
+        form = _form(system.driver, a, "driver", r_state)
+        values = np.array([_values(f, x, *form) for f in fields])
+        sides.append((_form(system.driver, a, "state", r_state), values))
+    ((beta_a, diff_a, jumps_a), va), ((beta_b, diff_b, jumps_b), vb) = sides
+    beta_dist = _norm(beta_a - beta_b)
+    diff_dist = _norm((diff_a - diff_b).reshape(len(pts), -1))
+    jump_dist = np.zeros(len(pts))
+    if jumps_a or jumps_b:
+        for k in range(len(pts)):
+            jump_dist[k] = _match_atoms(
+                [(r, im[k]) for r, im, _ in jumps_a], [(r, im[k]) for r, im, _ in jumps_b]
+            )
+    value_diff = np.abs(va - vb).max(axis=0)
+    keys = ("point", "beta_distance", "diffusion_distance", "jump_distance", "max_value_difference")
+    columns = (pts, beta_dist, diff_dist, jump_dist, value_diff)
+    per_point = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+    max_beta, max_diffusion, max_jump = (float(np.max(v)) for v in (beta_dist, diff_dist, jump_dist))
     return {
-        "max_value_difference": float(max_value_diff),
-        "max_beta_distance": float(max_beta),
-        "max_diffusion_distance": float(max_diffusion),
-        "max_jump_distance": float(max_jump),
-        "structurally_equal": bool(max(max_beta, max_diffusion, max_jump) <= tol),
+        "max_value_difference": float(np.max(value_diff)),
+        "max_beta_distance": max_beta,
+        "max_diffusion_distance": max_diffusion,
+        "max_jump_distance": max_jump,
+        "structurally_equal": bool(np.max([max_beta, max_diffusion, max_jump]) <= tol),
         "tolerance": float(tol),
         "n_points": int(len(pts)),
         "n_fields": int(len(fields)),

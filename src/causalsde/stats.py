@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 from scipy.special import kolmogorov
 
 from ._rng import derive_seed
 from .euler import simulate_slices
-from .generator import compare_generators, bump_field_battery
+from .generator import compare_generators
 from .intervention import InterventionSpec, intervene_sde
-from .system import SdeSystem, probe_points
+from .system import SdeSystem, _probe_grid
 
 __all__ = [
     "ks_two_sample",
@@ -95,17 +95,15 @@ def energy_distance_test(
             b = b[rng.choice(len(b), max_points, replace=False)]
     n, m = len(a), len(b)
     pooled = np.vstack([a, b])
-    dist = squareform(pdist(pooled))
+    dist = cdist(pooled, pooled)
     base_mask = np.zeros(n + m)
     base_mask[:n] = 1.0
     statistic = _energy_components(dist, base_mask, n, m)
 
     exceed = 0
-    chunk = 128
-    done = 0
     row_tot = dist.sum(axis=1)
-    while done < n_permutations:
-        k = min(chunk, n_permutations - done)
+    for done in range(0, n_permutations, 128):
+        k = min(128, n_permutations - done)
         masks = np.zeros((n + m, k))
         for c in range(k):
             idx = rng.permutation(n + m)[:n]
@@ -117,7 +115,6 @@ def energy_distance_test(
         s_bb = float(row_tot.sum()) - 2.0 * r_dot + s_aa
         stats = 2.0 * s_ab / (n * m) - s_aa / n**2 - s_bb / m**2
         exceed += int(np.sum(stats >= statistic - 1e-15))
-        done += k
     p_value = (1 + exceed) / (1 + n_permutations)
     return float(statistic), float(p_value)
 
@@ -237,10 +234,8 @@ def identifiability_check(
     if n_paths < 1000:
         raise ValueError("identifiability_check needs n_paths >= 1000 for asymptotic KS p-values")
     times = sorted({float(t) for t in times})
-    pts = probe_points(sys_a.coeff, structure_points)
-    comparison = compare_generators(
-        sys_a, sys_b, pts, fields=bump_field_battery(sys_a.p), tol=structure_tol
-    )
+    pts = _probe_grid([sys_a.coeff, sys_b.coeff], structure_points, None, [0.0], 1e-3)
+    comparison = compare_generators(sys_a, sys_b, pts, tol=structure_tol)
     comparison_summary = {
         k: comparison[k]
         for k in (

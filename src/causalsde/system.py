@@ -365,9 +365,16 @@ def evaluate_coeff(system: SdeSystem, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"state must have shape ({system.p},)")
     if system.coeff.validator is not None:
         system.coeff.validator(x)
-    out = system.coeff(x)
-    if not np.all(np.isfinite(out)):
-        raise CoefficientOverflowError(f"coefficient overflow at x={x.tolist()}")
+    return _eval_finite(system.coeff, x[None, :])[0]
+
+
+def _eval_finite(field: CoefficientField, xs: np.ndarray) -> np.ndarray:
+    """``field.eval_batch(xs)``, raising :class:`CoefficientOverflowError`
+    that names the first state with a non-finite entry."""
+    out = field.eval_batch(xs)
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        raise CoefficientOverflowError(f"coefficient overflow at x={xs[bad][0].tolist()}")
     return out
 
 
@@ -387,16 +394,17 @@ def probe_points(
 ) -> np.ndarray:
     """Quasi-uniform probe states in the field's box, keeping clear of
     declared singular points."""
-    return _probe_grid(field, n_points, box, [0.0], clearance)
+    return _probe_grid([field], n_points, box, [0.0], clearance)
 
 
-def _probe_grid(field: CoefficientField, n_points: int, box, shifts, clearance: float) -> np.ndarray:
-    """Sobol points of the box whose every shifted copy ``pts + shift``
-    stays more than ``clearance`` away from each declared singular point."""
-    box_arr = field.default_probe_box() if box is None else np.asarray(box, dtype=float)
+def _probe_grid(fields: list[CoefficientField], n_points: int, box, shifts, clearance: float) -> np.ndarray:
+    """Sobol points of the box (by default the first field's) whose every
+    shifted copy ``pts + shift`` stays more than ``clearance`` away from
+    each singular point that any of the fields declares."""
+    box_arr = fields[0].default_probe_box() if box is None else np.asarray(box, dtype=float)
     pts = _sobol_points(n_points, box_arr)
     keep = np.ones(len(pts), dtype=bool)
-    for s in field.singular_points:
+    for s in (s for field in fields for s in field.singular_points):
         for shift in shifts:
             keep &= np.linalg.norm(pts + shift - s, axis=1) > clearance
     pts = pts[keep]
@@ -429,21 +437,12 @@ def probe_signature(
     field = system.coeff
     p = field.p
     shifts = [0.0] + [perturbation * np.eye(p)[i] for i in range(p)]
-    pts = _probe_grid(field, n_points, box, shifts, 1e-3)
-    base = field.eval_batch(pts)
-    if not np.all(np.isfinite(base)):
-        bad = pts[~np.isfinite(base).all(axis=(1, 2))][0]
-        raise CoefficientOverflowError(f"coefficient overflow at x={bad.tolist()}")
+    pts = _probe_grid([field], n_points, box, shifts, 1e-3)
+    base = _eval_finite(field, pts)
     edges = set()
     for i in range(p):
-        shifted = field.eval_batch(pts + perturbation * np.eye(p)[i])
-        if not np.all(np.isfinite(shifted)):
-            bad = pts[~np.isfinite(shifted).all(axis=(1, 2))][0]
-            raise CoefficientOverflowError(f"coefficient overflow at x={bad.tolist()}")
-        delta = np.abs(shifted - base).max(axis=(0, 2))  # per row j
-        for j in range(p):
-            if delta[j] > tol:
-                edges.add((i, j))
+        delta = np.abs(_eval_finite(field, pts + shifts[i + 1]) - base).max(axis=(0, 2))  # per row j
+        edges.update((i, j) for j in range(p) if delta[j] > tol)
     if field.declared_dependence is not None:
         extra = [e for e in edges if not field.declared_dependence[e[0], e[1]]]
         if extra:

@@ -256,11 +256,10 @@ def test_criterion_6_generator_form_equivalence():
     for system in jump_suite():
         fields = bump_field_battery(system.p)
         xs = rng.uniform(-5, 5, size=(100, system.p))
-        for x in xs:
-            for f in fields:
-                a = apply_generator(system, f, x, form="driver")
-                b = apply_generator(system, f, x, form="state")
-                worst = max(worst, abs(a - b))
+        for f in fields:
+            a = apply_generator(system, f, xs, form="driver")
+            b = apply_generator(system, f, xs, form="state")
+            worst = max(worst, float(np.max(np.abs(a - b))))
     _report(
         "criterion 6 (generator form equivalence)",
         worst <= 1e-9,

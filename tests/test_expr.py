@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from causalsde import ExprSyntaxError, parse_expression
-from causalsde.expr import BinOp, Call, Neg, Num, Var
+from strategies import expression_trees
 
 
 def ev(source, *values):
@@ -101,30 +100,7 @@ class TestErrors:
 
 # --- structural round trip -------------------------------------------------
 
-_LEAVES = st.one_of(
-    st.builds(Num, st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
-    st.builds(Var, st.integers(min_value=0, max_value=3)),
-)
-
-
-def _trees(children):
-    return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
-        st.builds(
-            Call,
-            st.sampled_from(["sqrt", "exp", "abs", "sin", "cos"]),
-            st.tuples(children),
-        ),
-        st.builds(
-            Call,
-            st.sampled_from(["pow", "min", "max"]),
-            st.tuples(children, children),
-        ),
-    )
-
-
-_TREES = st.recursive(_LEAVES, _trees, max_leaves=25)
+_TREES = expression_trees()
 
 
 @given(_TREES)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalsde import (
     JumpAtom,
@@ -17,9 +19,12 @@ from causalsde import (
     probe_points,
     semigroup_estimate,
     bump_field_battery,
+    load_builtin,
     two_signature_pair,
 )
-from causalsde.system import InitialLaw, SdeSystem
+from causalsde.expr import Expression
+from causalsde.system import CoefficientField, InitialLaw, SdeSystem
+from strategies import expression_trees
 
 
 def bm_driver(d=1):
@@ -60,6 +65,88 @@ def two_atom_system():
         batch_func=lambda xs: (1.0 + 0.25 * np.sin(xs))[:, :, None],
     )
     return SdeSystem(field, driver, InitialLaw(np.zeros(1)))
+
+
+def two_atom_planar_driver():
+    # one atom inside the unit truncation ball, one outside; correlated Gaussian part
+    return LevyTriplet(
+        dim=2, alpha=[0.3, -0.1], cov=np.array([[0.5, 0.1], [0.1, 0.4]]),
+        jumps=(
+            JumpAtom(rate=1.0, location=np.array([2.0, 0.5])),
+            JumpAtom(rate=1.5, location=np.array([-0.5, 0.2])),
+        ),
+        trunc_radius=1.0,
+    )
+
+
+def two_atom_planar_system():
+    def batch(xs):
+        x1, x2 = xs[:, 0], xs[:, 1]
+        rows = [[1.0 + 0.25 * np.sin(x1), 0.3 * x2], [0.2 * np.cos(x2), 1.0 + 0.1 * x1 * x1]]
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=1)
+
+    field = field_from_callable(2, 2, batch_func=batch)
+    return SdeSystem(field, two_atom_planar_driver(), InitialLaw(np.zeros(2)))
+
+
+def chem_system():
+    return load_builtin("chem").system
+
+
+def reference_terms(system, x, r_state=1.0):
+    """Per-point state-side terms, one atom at a time."""
+    a, trip = system.coeff(x), system.driver
+    beta, atoms = a @ trip.alpha, []
+    for atom in trip.jumps:
+        image = a @ atom.location
+        in_state = float(np.linalg.norm(image) <= r_state)
+        in_driver = float(np.linalg.norm(atom.location) <= trip.trunc_radius)
+        beta = beta + atom.rate * (in_state - in_driver) * image
+        atoms.append((atom.rate, image))
+    diffusion = a @ trip.cov @ a.T
+    return beta, 0.5 * (diffusion + diffusion.T), atoms
+
+
+def reference_value(system, f, x, form="driver", r_state=1.0):
+    """Per-point generator value with scalar arithmetic: the reference the
+    batched layer must reproduce."""
+    grad, hess = f.grad(x), f.hess(x)
+    a, trip = system.coeff(x), system.driver
+    if form == "driver":
+        drift, diffusion = a @ trip.alpha, a @ trip.cov @ a.T
+        jumps = [
+            (atom.rate, a @ atom.location, np.linalg.norm(atom.location) <= trip.trunc_radius)
+            for atom in trip.jumps
+        ]
+    else:
+        drift, diffusion, atoms = reference_terms(system, x, r_state)
+        jumps = [(rate, image, np.linalg.norm(image) <= r_state) for rate, image in atoms]
+    value = float(grad @ drift) + 0.5 * float(np.einsum("ij,ij->", diffusion, hess))
+    f0 = float(f(x))
+    for rate, jump, compensated in jumps:
+        term = float(f(x + jump)) - f0
+        if compensated:
+            term -= float(grad @ jump)
+        value += rate * term
+    return value
+
+
+def reference_fd(f, x):
+    """Per-point central differences, one coordinate (pair) at a time."""
+    h = 1e-5 * (1.0 + np.linalg.norm(x))
+    p, eye = x.size, np.eye(x.size) * h
+    grad, hess, f0 = np.empty(p), np.empty((p, p)), float(f(x))
+    for i in range(p):
+        grad[i] = (f(x + eye[i]) - f(x - eye[i])) / (2 * h)
+        hess[i, i] = (f(x + eye[i]) - 2 * f0 + f(x - eye[i])) / h**2
+        for j in range(i + 1, p):
+            hess[i, j] = hess[j, i] = (
+                f(x + eye[i] + eye[j])
+                - f(x + eye[i] - eye[j])
+                - f(x - eye[i] + eye[j])
+                + f(x - eye[i] - eye[j])
+            ) / (4 * h**2)
+    return grad, hess
 
 
 def linear_f(slope=3.0):
@@ -201,7 +288,105 @@ class TestCompare:
             compare_generators(sys_a, gbm_system(), np.zeros((1, 2)))
 
 
+class TestBatched:
+    @pytest.mark.parametrize("form", ["driver", "state"])
+    @pytest.mark.parametrize("factory", [two_atom_planar_system, chem_system])
+    def test_stack_matches_per_point_reference(self, factory, form):
+        system = factory()
+        pts = probe_points(system.coeff, 64)
+        for f in bump_field_battery(system.p):
+            batched = apply_generator(system, f, pts, form=form)
+            ref = np.array([reference_value(system, f, x, form) for x in pts])
+            np.testing.assert_allclose(batched, ref, rtol=1e-15, atol=1e-15 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("factory", [two_atom_planar_system, chem_system])
+    def test_terms_stack_matches_per_point_reference(self, factory):
+        system = factory()
+        pts = probe_points(system.coeff, 64)
+        terms = compute_terms(system, pts)
+        refs = [reference_terms(system, x) for x in pts]
+        np.testing.assert_array_equal(terms.point, pts)
+        np.testing.assert_array_equal(terms.beta, [r[0] for r in refs])
+        np.testing.assert_array_equal(terms.diffusion, [r[1] for r in refs])
+        for k, (rate, images) in enumerate(terms.atoms):
+            assert rate == refs[0][2][k][0]
+            np.testing.assert_array_equal(images, [r[2][k][1] for r in refs])
+
+    def test_point_input_keeps_point_shapes(self):
+        system = two_atom_planar_system()
+        f = bump_field_battery(2)[2]
+        x = np.array([0.3, -0.2])
+        value = apply_generator(system, f, x, form="state")
+        assert type(value) is float
+        assert value == apply_generator(system, f, x[None, :], form="state")[0]
+        terms = compute_terms(system, x)
+        assert terms.beta.shape == (2,) and terms.diffusion.shape == (2, 2)
+        assert all(image.shape == (2,) for _, image in terms.atoms)
+
+    @pytest.mark.parametrize("n_points", [3, 200])
+    def test_compare_evaluates_each_system_once(self, monkeypatch, n_points):
+        calls = []
+        original = CoefficientField.eval_batch
+        monkeypatch.setattr(
+            CoefficientField, "eval_batch", lambda self, xs: calls.append(len(xs)) or original(self, xs)
+        )
+        system = two_atom_planar_system()
+        compare_generators(system, system, probe_points(system.coeff, n_points))
+        assert len(calls) == 2
+
+    def test_per_point_derivatives_rejected_on_a_stack(self):
+        # written for one point: on a stack x[0] is the first row, not the first coordinate
+        f = ScalarField2(
+            value=lambda x: (x[..., 0] - 2.0) ** 2,
+            gradient=lambda x: np.array([2.0 * (x[0] - 2.0)]),
+            hessian=lambda x: np.array([[2.0]]),
+        )
+        system = SdeSystem(unit_field(), LevyTriplet(dim=1, alpha=[1.0], cov=0.0), InitialLaw(np.zeros(1)))
+        assert apply_generator(system, f, np.array([3.0])) == 2.0
+        with pytest.raises(ValueError, match="shapes"):
+            apply_generator(system, f, np.array([[2.0], [3.0], [1.0]]))
+
+    def test_bad_point_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            apply_generator(two_atom_planar_system(), bump_field_battery(2)[0], np.zeros((2, 3)))
+
+
+_POLYNOMIALS = expression_trees(binops=("+", "-", "*"), calls=False, n_vars=2, max_leaves=6)
+
+
+@given(st.lists(_POLYNOMIALS, min_size=4, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_random_polynomial_fields_with_jumps(trees):
+    exprs = [Expression(t) for t in trees]
+    field = field_from_expressions([exprs[:2], exprs[2:]], p=2)
+    system = SdeSystem(field, two_atom_planar_driver(), InitialLaw(np.zeros(2)))
+    axis = np.linspace(-2.0, 2.0, 4)
+    pts = np.array([[u, v] for u in axis for v in axis])
+    scale = (1.0 + np.abs(field.eval_batch(pts)).max()) ** 2
+    for f in bump_field_battery(2):
+        driver = apply_generator(system, f, pts, form="driver")
+        state = apply_generator(system, f, pts, form="state")
+        np.testing.assert_allclose(driver, state, rtol=0, atol=1e-12 * scale)
+        ref = np.array([reference_value(system, f, x, "state") for x in pts])
+        np.testing.assert_allclose(state, ref, rtol=1e-15, atol=1e-15 * scale)
+    report = compare_generators(system, system, pts)
+    assert report["structurally_equal"]
+    assert report["max_value_difference"] == 0.0
+
+
 class TestFiniteDifferenceFallback:
+    def test_stack_matches_per_point(self):
+        bump = gaussian_bump(np.array([0.3, -0.6, 0.1]), width=1.2, lin=np.array([0.5, 0.0, 0.0]))
+        bare = ScalarField2(value=bump.value)
+        pts = np.random.default_rng(4).uniform(-2, 2, size=(40, 3))
+        grad, hess = bare.grad(pts), bare.hess(pts)
+        for x, g, h in zip(pts, grad, hess):
+            np.testing.assert_array_equal(g, bare.grad(x))
+            np.testing.assert_array_equal(h, bare.hess(x))
+            g_ref, h_ref = reference_fd(bare, x)
+            np.testing.assert_allclose(g, g_ref, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(h, h_ref, rtol=1e-15, atol=0)
+
     def test_gradient_and_hessian_match_analytic(self):
         bump = gaussian_bump(np.array([0.3, -0.6]), width=1.2, lin=np.array([0.5, 0.0]))
         bare = ScalarField2(value=bump.value)

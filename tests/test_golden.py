@@ -164,7 +164,12 @@ def _case_identifiability():
 
 def _case_generator():
     """Both generator forms and the state-side terms of the planar system
-    on a 9 x 9 grid, for a cubic test function with + - * derivatives."""
+    on a 9 x 9 grid, for a cubic test function with + - * derivatives.
+
+    Unlike the other cases, the drift and diffusion products and the dot
+    products go through BLAS, at sizes too small to be split across
+    threads; the digest is fixed by the BLAS kernels, not their thread
+    count."""
     f = ScalarField2(
         value=lambda x: x[..., 0] * x[..., 0] * x[..., 1] - 0.5 * x[..., 1] * x[..., 1] + x[..., 0],
         gradient=lambda x: np.stack(

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from causalsde import (
+    CoefficientOverflowError,
+    InterventionSpec,
+    LevyTriplet,
     TestReport,
+    compare_generators,
+    constant_field,
     energy_distance_test,
+    field_from_callable,
     holm_rejections,
     identifiability_check,
     ks_two_sample,
     load_builtin,
     moment_compare,
+    probe_points,
 )
+from causalsde.system import InitialLaw, SdeSystem
 
 
 class TestKs:
@@ -147,6 +155,38 @@ class TestHolm:
 def pair():
     built = load_builtin("two-signatures")
     return built.system, built.partner, built.intervention
+
+
+def nan_at_origin_pair():
+    """Constant identity coefficients; the partner returns NaN at the origin
+    and declares the origin singular."""
+    driver = LevyTriplet(dim=2, alpha=np.zeros(2), cov=np.eye(2))
+
+    def batch(xs):
+        out = np.broadcast_to(np.eye(2), (len(xs), 2, 2)).copy()
+        out[np.all(xs == 0.0, axis=1)] = np.nan
+        return out
+
+    partner = field_from_callable(2, 2, batch_func=batch, singular_points=(np.zeros(2),))
+    initial = InitialLaw(np.ones(2))
+    return SdeSystem(constant_field(np.eye(2)), driver, initial), SdeSystem(partner, driver, initial)
+
+
+class TestSingularPartner:
+    def test_non_finite_coefficient_raises(self):
+        sys_a, sys_b = nan_at_origin_pair()
+        pts = probe_points(sys_a.coeff, 256)
+        assert np.all(pts[1] == 0.0)
+        with pytest.raises(CoefficientOverflowError, match=r"x=\[0\.0, 0\.0\]"):
+            compare_generators(sys_a, sys_b, pts)
+
+    def test_check_avoids_partner_singular_points(self):
+        sys_a, sys_b = nan_at_origin_pair()
+        report = identifiability_check(
+            sys_a, sys_b, InterventionSpec(0, 0.5), [0.25], 1000, 2.0**-5, seed=0, n_permutations=19
+        )
+        assert report.extras["hypothesis"] == "ok"
+        assert report.extras["generator_comparison"]["max_value_difference"] == 0.0
 
 
 class TestIdentifiabilityCheck:
