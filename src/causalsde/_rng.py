@@ -1,8 +1,8 @@
-"""Counter-based random streams for reproducible parallel Monte Carlo.
+"""Counter-based random streams for reproducible Monte Carlo.
 
 Every stream is a Philox generator whose 256-bit counter block encodes the
 stream's identity, so any path (or block of paths) can be regenerated in
-isolation and results never depend on scheduling or worker count.
+isolation and results never depend on how paths are split into chunks.
 """
 
 from __future__ import annotations

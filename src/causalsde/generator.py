@@ -170,8 +170,6 @@ class GeneratorTerms:
     beta: np.ndarray
     diffusion: np.ndarray
     atoms: tuple[tuple[float, np.ndarray], ...]
-    trunc_radius_driver: float
-    trunc_radius_state: float
 
     @property
     def total_jump_rate(self) -> float:
@@ -219,7 +217,7 @@ def compute_terms(system: SdeSystem, x: np.ndarray, r_state: float = 1.0) -> Gen
     x, a = _states(system, x)
     beta, diffusion, jumps = _form(system.driver, a, "state", r_state)
     atoms = tuple((rate, image) for rate, image, _ in jumps)
-    return GeneratorTerms(x, beta, diffusion, atoms, system.driver.trunc_radius, float(r_state))
+    return GeneratorTerms(x, beta, diffusion, atoms)
 
 
 def _values(f: ScalarField2, x, drift, diffusion, jumps) -> np.ndarray:

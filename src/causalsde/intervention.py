@@ -117,16 +117,16 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
     if m >= p:
         raise ValueError(f"target coordinate {m} out of range for dimension {p}")
     orig = system.coeff
+    keep = [i for i in range(p) if i != m]
 
     def inserted(ys: np.ndarray) -> np.ndarray:
         return _insert_coordinate(ys, m, spec.apply(ys))
 
     def batch(ys: np.ndarray) -> np.ndarray:
-        return np.delete(orig.eval_batch(inserted(ys)), m, axis=1)
+        return orig.eval_batch(inserted(ys)).take(keep, axis=1)
 
     declared = None
     if orig.declared_dependence is not None:
-        keep = [i for i in range(p) if i != m]
         declared = orig.declared_dependence[np.ix_(keep, keep)].copy()
         if not spec.is_constant:
             rows_reading_m = orig.declared_dependence[m, keep]
@@ -161,7 +161,6 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
         declared_dependence=declared,
         singular_points=singular,
         probe_box=probe_box,
-        source=f"intervened({orig.source})",
         validator=validator,
     )
     labels = tuple(lb for i, lb in enumerate(system.labels) if i != m)
@@ -180,10 +179,6 @@ def embed_constant_intervention(system: SdeSystem, m: int, zeta: float) -> SdeSy
     value of coordinate m becomes the held constant, so the coordinate
     stays put while the others evolve exactly as in the reduced system.
     """
-    if isinstance(zeta, InterventionSpec):
-        if not zeta.is_constant:
-            raise ValueError("embedding defined only for constant interventions")
-        m, zeta = zeta.target, zeta.constant()
     if not isinstance(zeta, (int, float, np.floating, np.integer)):
         raise ValueError("embedding defined only for constant interventions")
     p = system.p
@@ -208,7 +203,6 @@ def embed_constant_intervention(system: SdeSystem, m: int, zeta: float) -> SdeSy
         declared_dependence=declared,
         singular_points=orig.singular_points,
         probe_box=orig.probe_box,
-        source=f"embedded({orig.source})",
         validator=orig.validator,
     )
     return SdeSystem(
@@ -230,10 +224,7 @@ def full_process_lift(reduced, spec: InterventionSpec, label: str | None = None)
     n, k, q = values.shape
     col = spec.apply(values.reshape(n * k, q)).reshape(n, k)
     col[~np.isfinite(values).all(axis=2)] = np.nan  # keep exploded segments absent
-    lifted = np.empty((n, k, q + 1))
-    lifted[:, :, :m] = values[:, :, :m]
-    lifted[:, :, m] = col
-    lifted[:, :, m + 1:] = values[:, :, m:]
+    lifted = _insert_coordinate(values, m, col)
     name = label if label is not None else f"do{m + 1}"
     labels = reduced.labels[:m] + (name,) + reduced.labels[m:]
     return replace(reduced, values=lifted, labels=labels)
@@ -445,7 +436,7 @@ def ito_pair_system(f: Callable, f_prime: Callable, f_second: Callable) -> SdeSy
         return out
 
     dep = np.array([[False, True], [False, False]])
-    field = drift_diffusion_field(2, 1, drift, diffusion, declared_dependence=dep, source="ito-pair")
+    field = drift_diffusion_field(2, 1, drift, diffusion, declared_dependence=dep)
     return SdeSystem(
         coeff=field,
         driver=canonical_driver(1),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .driver import _readonly
 from .system import (
     InitialLaw,
     SdeSystem,
@@ -47,9 +48,9 @@ class OuModel:
     initial: InitialLaw | np.ndarray | None = None
 
     def __post_init__(self):
-        level = np.atleast_1d(np.asarray(self.level, dtype=float))
-        rev = np.atleast_2d(np.asarray(self.reversion, dtype=float))
-        dif = np.atleast_2d(np.asarray(self.diffusion, dtype=float))
+        level = _readonly(np.atleast_1d(self.level))
+        rev = _readonly(np.atleast_2d(self.reversion))
+        dif = _readonly(np.atleast_2d(self.diffusion))
         p = level.size
         if rev.shape != (p, p):
             raise ValueError(f"reversion must be {p}x{p}, got {rev.shape}")
@@ -99,7 +100,6 @@ def ou_to_system(model: OuModel, labels: tuple[str, ...] = ()) -> SdeSystem:
         drift,
         diffusion,
         declared_dependence=dep,
-        source="ou",
     )
     return SdeSystem(
         coeff=field,

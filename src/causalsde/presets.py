@@ -34,7 +34,6 @@ class Builtin:
     system: SdeSystem
     intervention: InterventionSpec
     partner: SdeSystem | None = None
-    description: str = ""
 
 
 BUILTIN_NAMES = ("chem", "ou", "two-signatures", "ito-counterexample")
@@ -79,7 +78,6 @@ def _chem_builtin() -> Builtin:
         diffusion,
         declared_dependence=dep,
         probe_box=((1e-3, 5.0), (1e-3, 5.0)),
-        source="chem",
     )
     system = SdeSystem(
         coeff=field,
@@ -91,7 +89,6 @@ def _chem_builtin() -> Builtin:
         name="chem",
         system=system,
         intervention=InterventionSpec(target=1, value=1.0),
-        description="two-species reaction network; hold the second concentration",
     )
 
 
@@ -115,7 +112,6 @@ def _ou_builtin() -> Builtin:
         name="ou",
         system=system,
         intervention=InterventionSpec(target=0, value=2.0),
-        description="two-dimensional mean-reverting system; hold the first coordinate at 2",
     )
 
 
@@ -139,7 +135,6 @@ def _two_sig_field_lower() -> CoefficientField:
         batch_func=batch,
         declared_dependence=dep,
         singular_points=(np.zeros(2),),
-        source="two-signatures",
     )
 
 
@@ -163,7 +158,6 @@ def _two_sig_field_upper() -> CoefficientField:
         batch_func=batch,
         declared_dependence=dep,
         singular_points=(np.zeros(2),),
-        source="two-signatures-twin",
     )
 
 
@@ -185,7 +179,6 @@ def _two_signatures_builtin() -> Builtin:
         system=sys_a,
         intervention=InterventionSpec(target=1, value=1.0),
         partner=sys_b,
-        description="same squared coefficients, different dependence graphs",
     )
 
 
@@ -195,7 +188,6 @@ def _ito_builtin() -> Builtin:
         name="ito-counterexample",
         system=system,
         intervention=InterventionSpec(target=0, value=1.0),
-        description="Wiener coordinate paired with its square via the chain rule",
     )
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .driver import LevyTriplet, check_covariance, psd_factor
+from .driver import LevyTriplet, _readonly, check_covariance, psd_factor
 from .expr import Expression, parse_expression
 
 __all__ = [
@@ -98,12 +98,12 @@ class InitialLaw:
     cov: np.ndarray | None = None  # None means the fixed point `mean`
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = _readonly(np.atleast_1d(self.mean))
         object.__setattr__(self, "mean", mean)
         if not np.all(np.isfinite(mean)):
             raise ValueError("initial mean must be finite")
         if self.cov is not None:
-            cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+            cov = _readonly(np.atleast_2d(self.cov))
             if cov.shape != (mean.size, mean.size):
                 raise ValueError("initial covariance shape mismatch")
             check_covariance(cov, "initial covariance")
@@ -145,33 +145,25 @@ class InitialLaw:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Pure mapping from states in R^p to p x d coefficient matrices.
+    """Pure mapping from stacks of states (n, p) to stacks of p x d
+    coefficient matrices (n, p, d).
 
-    ``func`` evaluates one state; ``batch_func`` evaluates a stack of states
-    in one call and must agree with ``func`` elementwise.  At least one is
-    required; a missing ``func`` is derived from ``batch_func``.
-    ``declared_dependence[i, j]`` means some entry of row j may depend on
-    coordinate i.  ``singular_points`` lists isolated states (for example a
-    non-differentiable origin) excluded from dependence probing, and
-    ``probe_box`` overrides the default probing box.
+    ``batch_func`` is the field's only evaluator; :func:`field_from_callable`
+    adapts a one-state function.  ``declared_dependence[i, j]`` means some
+    entry of row j may depend on coordinate i.  ``singular_points`` lists
+    isolated states (for example a non-differentiable origin) excluded from
+    dependence probing, and ``probe_box`` overrides the default probing box.
     """
 
     p: int
     d: int
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    batch_func: Callable[[np.ndarray], np.ndarray] | None = None
+    batch_func: Callable[[np.ndarray], np.ndarray]
     declared_dependence: np.ndarray | None = None
     singular_points: tuple = ()
     probe_box: tuple = ()
-    source: str = "closure"
     validator: Callable[[np.ndarray], None] | None = None
 
     def __post_init__(self):
-        if self.func is None:
-            if self.batch_func is None:
-                raise ValueError("a coefficient field needs func or batch_func")
-            batch_func = self.batch_func
-            object.__setattr__(self, "func", lambda x: batch_func(x[None, :])[0])
         if self.declared_dependence is not None:
             dep = np.asarray(self.declared_dependence, dtype=bool)
             if dep.shape != (self.p, self.p):
@@ -181,21 +173,14 @@ class CoefficientField:
         object.__setattr__(self, "singular_points", pts)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            out = np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.p, self.d):
-            raise ValueError(f"coefficient field returned shape {out.shape}, expected {(self.p, self.d)}")
-        return out
+        return self.eval_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.p:
             raise ValueError(f"expected states of shape (n, {self.p})")
         with np.errstate(all="ignore"):
-            if self.batch_func is not None:
-                out = np.asarray(self.batch_func(xs), dtype=float)
-            else:
-                out = np.stack([np.asarray(self.func(x), dtype=float) for x in xs])
+            out = np.asarray(self.batch_func(xs), dtype=float)
         if out.shape != (xs.shape[0], self.p, self.d):
             raise ValueError("batch coefficient evaluation returned a bad shape")
         return out
@@ -210,16 +195,13 @@ class CoefficientField:
 
 
 def constant_field(matrix: np.ndarray) -> CoefficientField:
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    m = _readonly(np.atleast_2d(matrix))
     p, d = m.shape
-    dep = np.zeros((p, p), dtype=bool)
     return CoefficientField(
         p=p,
         d=d,
-        func=lambda x: m,
         batch_func=lambda xs: np.broadcast_to(m, (xs.shape[0], p, d)).copy(),
-        declared_dependence=dep,
-        source="constant",
+        declared_dependence=np.zeros((p, p), dtype=bool),
     )
 
 
@@ -230,7 +212,17 @@ def field_from_callable(
     batch_func: Callable[[np.ndarray], np.ndarray] | None = None,
     **meta,
 ) -> CoefficientField:
-    return CoefficientField(p=p, d=d, func=func, batch_func=batch_func, **meta)
+    """Field from a stack map ``batch_func`` (n, p) -> (n, p, d) or, when
+    that is missing, from a one-state map ``func`` (p,) -> (p, d) applied
+    row by row.  When both are given, ``func`` is never called."""
+    if batch_func is None:
+        if func is None:
+            raise ValueError("a coefficient field needs func or batch_func")
+
+        def batch_func(xs: np.ndarray) -> np.ndarray:
+            return np.stack([np.asarray(func(x), dtype=float) for x in xs])
+
+    return CoefficientField(p=p, d=d, batch_func=batch_func, **meta)
 
 
 def field_from_expressions(rows: list[list[str | Expression]], p: int | None = None) -> CoefficientField:
@@ -268,7 +260,6 @@ def field_from_expressions(rows: list[list[str | Expression]], p: int | None = N
         d=d,
         batch_func=batch,
         declared_dependence=dep,
-        source="expression",
     )
 
 
@@ -341,7 +332,7 @@ class SdeSystem:
     def d(self) -> int:
         return self.coeff.d
 
-    def signature(self, **probe_kwargs) -> SignatureGraph:
+    def signature(self) -> SignatureGraph:
         """Declared signature when available, otherwise the probed one."""
         dep = self.coeff.declared_dependence
         if dep is not None:
@@ -349,7 +340,7 @@ class SdeSystem:
                 (i, j) for i in range(self.p) for j in range(self.p) if dep[i, j]
             )
             return SignatureGraph(self.p, edges)
-        return probe_signature(self, **probe_kwargs)
+        return probe_signature(self)
 
     def label_index(self, label: str) -> int:
         try:
@@ -509,7 +500,6 @@ def build_chem_system(
         diffusion,
         declared_dependence=dep,
         probe_box=tuple((1e-3, 5.0) for _ in range(p)),
-        source="chem",
         validator=validate,
     )
     return SdeSystem(

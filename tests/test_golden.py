@@ -11,10 +11,15 @@ change to the stream layout or the recursion must update them on purpose.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalsde
 from causalsde import (
     Grid,
     InterventionSpec,
@@ -239,3 +244,22 @@ GOLDEN = {
 def test_golden_digest(name):
     case, expected = GOLDEN[name]
     assert case() == expected
+
+
+def test_golden_digests_at_one_blas_thread():
+    """Every case again in one child process whose OpenBLAS runs a single
+    thread; the variable takes effect only if set before numpy loads."""
+    src = Path(causalsde.__file__).resolve().parents[1]
+    code = (
+        "import json, sys; sys.path[:0] = sys.argv[1:]; import test_golden as g; "
+        "print(json.dumps({name: case() for name, (case, _) in g.GOLDEN.items()}))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(Path(__file__).parent)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    digests = json.loads(child.stdout.splitlines()[-1])
+    assert digests == {name: expected for name, (_, expected) in GOLDEN.items()}

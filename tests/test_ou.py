@@ -27,6 +27,17 @@ def example_model():
                    initial=np.array([1.0, 1.0]))
 
 
+def test_system_keeps_a_copy_of_the_reversion_matrix():
+    reversion = EXAMPLE_B.copy()
+    model = OuModel(level=np.zeros(2), reversion=reversion, diffusion=np.eye(2))
+    system = ou_to_system(model)
+    x = np.array([[1.0, -1.0]])
+    drift = system.coeff.eval_batch(x)[:, :, 0]
+    reversion[0, 0] = 50.0
+    np.testing.assert_array_equal(system.coeff.eval_batch(x)[:, :, 0], drift)
+    np.testing.assert_array_equal(model.reversion, EXAMPLE_B)
+
+
 class TestMatrixExp:
     def test_zero(self):
         np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))

@@ -77,6 +77,94 @@ class TestCoefficientEvaluation:
             np.testing.assert_array_equal(batch[row], field(x))
 
 
+def planar_point(x):
+    return np.array([[-x[0] + 0.5 * x[1], 1.0], [x[0] - 0.25 * x[1] * x[1], 0.5 * x[0]]])
+
+
+def planar_batch(xs):
+    """``planar_point`` on a stack of states, with the same + - * operations."""
+    out = np.empty((xs.shape[0], 2, 2))
+    out[:, 0, 0] = -xs[:, 0] + 0.5 * xs[:, 1]
+    out[:, 0, 1] = 1.0
+    out[:, 1, 0] = xs[:, 0] - 0.25 * xs[:, 1] * xs[:, 1]
+    out[:, 1, 1] = 0.5 * xs[:, 0]
+    return out
+
+
+class TestOneEvaluator:
+    """A field has one evaluator, the stack map; a one-state function is
+    adapted by ``field_from_callable``."""
+
+    def test_point_func_simulates_like_batch_func(self):
+        initial = InitialLaw(np.array([1.0, -0.5]), np.diag([0.25, 1.0]))
+        ensembles = [
+            simulate(SdeSystem(field, bm_driver(2), initial), Grid(1.0, 2.0**-5), 40, seed=13)
+            for field in (
+                field_from_callable(2, 2, planar_point),
+                field_from_callable(2, 2, batch_func=planar_batch),
+            )
+        ]
+        assert ensembles[0].values.tobytes() == ensembles[1].values.tobytes()
+        np.testing.assert_array_equal(ensembles[0].exploded_at, ensembles[1].exploded_at)
+
+    def test_point_func_unused_when_batch_func_given(self):
+        def refuse(x):
+            raise AssertionError("the point function was called")
+
+        field = field_from_callable(2, 2, refuse, batch_func=planar_batch)
+        x = np.array([0.7, -1.3])
+        assert field(x).tobytes() == field.eval_batch(x[None])[0].tobytes()
+        system = SdeSystem(field, bm_driver(2), InitialLaw(x))
+        simulate(system, Grid(0.25, 2.0**-4), 8, seed=1)
+        evaluate_coeff(system, x)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            constant_field(np.array([[1.0, 2.0], [3.0, 4.0]])),
+            field_from_callable(2, 2, planar_point),
+            field_from_callable(2, 2, batch_func=planar_batch),
+            field_from_expressions([["x1 + x2", "1"], ["x1 * x2", "2"]]),
+        ],
+        ids=["constant", "point", "batch", "expression"],
+    )
+    def test_call_returns_fresh_array(self, field):
+        x = np.array([0.5, 2.0])
+        first = field(x)
+        expected = first.copy()
+        first[...] = -7.0
+        np.testing.assert_array_equal(field(x), expected)
+        np.testing.assert_array_equal(field.eval_batch(x[None])[0], expected)
+
+
+class TestConstructorsCopyInputs:
+    """Constructors keep read-only copies, so the validation done at
+    construction still holds after the caller writes into its arrays."""
+
+    def test_constant_field_keeps_a_copy(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        field = constant_field(m)
+        assert field(np.zeros(2)) is not m
+        m[1, 1] = 3.0
+        assert field.eval_batch(np.zeros((3, 2)))[:, 1, 1].tolist() == [4.0, 4.0, 4.0]
+
+    def test_initial_mean_keeps_a_copy(self):
+        x0 = np.array([1.0, 2.0])
+        law = InitialLaw(x0)
+        x0[0] = 9.0
+        np.testing.assert_array_equal(law.mean, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            law.mean[0] = 9.0
+
+    def test_initial_covariance_stays_validated(self):
+        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+        law = InitialLaw(np.zeros(2), cov)
+        cov[0, 1] = cov[1, 0] = 5.0  # indefinite if it reached the law
+        np.testing.assert_array_equal(law.cov, [[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError):
+            law.cov[0, 1] = 5.0
+
+
 class TestSignatureProbing:
     def test_constant_field_has_empty_signature(self):
         system = SdeSystem(constant_field(np.ones((3, 2))), bm_driver(2), InitialLaw(np.zeros(3)))
