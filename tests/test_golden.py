@@ -1,10 +1,11 @@
 """Golden digests of seeded outputs.
 
-Each case hashes the bytes of a seeded result.  The systems use
-expression fields built from + - * only, Gaussian parts with diagonal
-factors and at most one jump atom, so every value is fixed by IEEE
-arithmetic alone: no BLAS reduction and no transcendental ufunc enters,
-and the digests do not depend on the BLAS build or its thread count.
+Each case hashes the bytes of a seeded result.  Except in the generator
+and reduced-OU cases, the systems use expression fields built from
++ - * only, Gaussian parts with diagonal factors and at most one jump
+atom, so every value is fixed by IEEE arithmetic alone: no BLAS
+reduction and no transcendental ufunc enters, and the digests do not
+depend on the BLAS build or its thread count.
 A refactor that keeps the arithmetic leaves every digest unchanged; a
 change to the stream layout or the recursion must update them on purpose.
 """
@@ -33,6 +34,7 @@ from causalsde import (
     field_from_expressions,
     identifiability_check,
     intervene_sde,
+    load_builtin,
     semigroup_estimate,
     simulate,
     simulate_shared,
@@ -200,6 +202,16 @@ def _case_generator():
     )
 
 
+def _case_ou_reduced():
+    """The ou builtin held at x1 := 2.  Its field is affine, so the drift
+    goes through BLAS at sizes too small to be split across threads, as in
+    the generator case."""
+    builtin = load_builtin("ou")
+    reduced = intervene_sde(builtin.system, builtin.intervention)
+    s = simulate_slices(reduced, 2.0**-7, [0.5, 1.0], 300, seed=21)
+    return _digest(*s.states, s.exploded_at)
+
+
 GOLDEN = {
     "simulate": (
         _case_simulate,
@@ -232,6 +244,10 @@ GOLDEN = {
     "generator": (
         _case_generator,
         "da732b8664cbcccbb49dbbd5836ba8dac31d6a01d616643d7a4692a8462ef45c",
+    ),
+    "ou_reduced_slices": (
+        _case_ou_reduced,
+        "deaa86158149d836538824a327ff3da1bf693982821e12ea1915971f7d74b409",
     ),
     "exploding": (
         _case_explode,
