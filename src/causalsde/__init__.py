@@ -84,6 +84,7 @@ from .system import (
     SdeSystem,
     SignatureGraph,
     SignatureMismatchError,
+    affine_field,
     build_chem_system,
     canonical_driver,
     constant_field,

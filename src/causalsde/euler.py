@@ -124,7 +124,23 @@ def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=N
     and holds the states at the step indices in ``keep`` (every step when
     None).  A path freezes to NaN at its first non-finite state and the
     step index is recorded.
+
+    A field with an affine form ``(M, c, S)`` steps as
+    ``x + (x M' + c) dz_0 + dz_{1:} S'``, with no coefficient tensor; every
+    other field evaluates its (n, p, d) coefficients and contracts them
+    with the increments.  The two forms agree to rounding.
     """
+    if field.affine is None:
+
+        def step(x, dz_k):
+            return x + np.einsum("npd,nd->np", field.eval_batch(x), dz_k)
+
+    else:
+        M, c, S = field.affine
+
+        def step(x, dz_k):
+            return x + (x @ M.T + c) * dz_k[:, :1] + dz_k[:, 1:] @ S.T
+
     n, n_steps, _ = dz.shape
     slot = {k: s for s, k in enumerate(range(n_steps + 1) if keep is None else keep)}
     states = np.empty((n, len(slot), field.p))
@@ -137,8 +153,7 @@ def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=N
         states[:, slot[0]] = x
     with np.errstate(all="ignore"):
         for k in range(1, n_steps + 1):
-            a = field.eval_batch(x)
-            x = x + np.einsum("npd,nd->np", a, dz[:, k - 1])
+            x = step(x, dz[:, k - 1])
             bad = ~np.isfinite(x).all(axis=1)
             fresh = bad & alive
             if fresh.any():
@@ -376,8 +391,8 @@ def _euler_update_func(field: CoefficientField, k: int, i: int, parent_js, fill)
             else:
                 x[:, j] = fill[j]
         with np.errstate(all="ignore"):
-            step = np.einsum("npd,nd->np", field.eval_batch(x), dz)
-        return parent_values[("x", k - 1, i)] + step[:, i]
+            step = np.einsum("nd,nd->n", field.eval_batch(x)[:, i], dz)
+        return parent_values[("x", k - 1, i)] + step
 
     return func
 
@@ -418,7 +433,9 @@ def check_commutation(
     x0, dz = _draw_paths(system.driver, system.initial, grid, seed, range(n_paths))
 
     reduced = intervene_sde(system, spec)
-    vals_b, exploded_b = _euler_paths(reduced.coeff, np.delete(x0, m, axis=1), dz)
+    # the generic step, so that both routes run the same arithmetic
+    generic = replace(reduced.coeff, affine=None)
+    vals_b, exploded_b = _euler_paths(generic, np.delete(x0, m, axis=1), dz)
 
     esem = build_euler_sem(system, grid)
     sem = esem.to_sem_model(x0)

@@ -109,6 +109,8 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
     Row i (i != m) of the new field is row i of the original evaluated at
     the state with ``zeta`` of the remaining coordinates substituted into
     slot m; the driver is untouched and the initial law loses coordinate m.
+    A constant hold of an affine field keeps the field affine: the reduced
+    form is ``(M[keep, keep], c[keep] + zeta M[keep, m], S[keep])``.
     """
     p = system.p
     m = spec.target
@@ -137,11 +139,15 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
                 declared |= rows_reading_m[None, :]
 
     singular = ()
+    affine = None
     if spec.is_constant:
         zeta = spec.constant()
         singular = tuple(
             np.delete(s, m) for s in orig.singular_points if s[m] == zeta
         )
+        if orig.affine is not None:
+            M, c, S = orig.affine
+            affine = (M[np.ix_(keep, keep)], c[keep] + zeta * M[keep, m], S[keep])
 
     probe_box = ()
     if orig.probe_box:
@@ -162,6 +168,7 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
         singular_points=singular,
         probe_box=probe_box,
         validator=validator,
+        affine=affine,
     )
     labels = tuple(lb for i, lb in enumerate(system.labels) if i != m)
     return SdeSystem(

@@ -16,12 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .driver import _readonly
-from .system import (
-    InitialLaw,
-    SdeSystem,
-    canonical_driver,
-    drift_diffusion_field,
-)
+from .system import InitialLaw, SdeSystem, affine_field, canonical_driver
 
 __all__ = [
     "OuModel",
@@ -78,31 +73,16 @@ class OuModel:
 
 
 def ou_to_system(model: OuModel, labels: tuple[str, ...] = ()) -> SdeSystem:
-    """Canonical drift + diffusion system for an OU model.
+    """Canonical drift + diffusion system for an OU model: the affine field
+    with drift ``B x - B A`` and diffusion ``sigma``.
 
     The dependence relation is declared from the sparsity of the reversion
     matrix (the constant diffusion adds no edges), so downstream graph
     construction sees exact zeros instead of probe estimates.
     """
-    A, B, sigma = model.level, model.reversion, model.diffusion
-    p = model.p
-
-    def drift(xs: np.ndarray) -> np.ndarray:
-        return (xs - A) @ B.T
-
-    def diffusion(xs: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(sigma, (xs.shape[0],) + sigma.shape).copy()
-
-    dep = (B.T != 0.0)  # edge i -> j iff B[j, i] != 0
-    field = drift_diffusion_field(
-        p,
-        model.n_wiener,
-        drift,
-        diffusion,
-        declared_dependence=dep,
-    )
+    B = model.reversion
     return SdeSystem(
-        coeff=field,
+        coeff=affine_field(B, -B @ model.level, model.diffusion),
         driver=canonical_driver(model.n_wiener),
         initial=model.initial,
         labels=labels,

@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .driver import LevyTriplet, _readonly, check_covariance, psd_factor
 from .expr import Expression, parse_expression
@@ -42,6 +41,7 @@ __all__ = [
     "field_from_callable",
     "field_from_expressions",
     "drift_diffusion_field",
+    "affine_field",
 ]
 
 
@@ -153,6 +153,10 @@ class CoefficientField:
     entry of row j may depend on coordinate i.  ``singular_points`` lists
     isolated states (for example a non-differentiable origin) excluded from
     dependence probing, and ``probe_box`` overrides the default probing box.
+    ``affine``, when present, is ``(M, c, S)`` such that ``batch_func``
+    gives, to rounding, the drift ``M x + c`` in column 0 and the constant
+    diffusion ``S`` in columns 1..d-1; :func:`affine_field` builds such a
+    field, and the Euler kernel then steps it without ``batch_func``.
     """
 
     p: int
@@ -162,8 +166,17 @@ class CoefficientField:
     singular_points: tuple = ()
     probe_box: tuple = ()
     validator: Callable[[np.ndarray], None] | None = None
+    affine: tuple | None = None
 
     def __post_init__(self):
+        if self.affine is not None:
+            M, c, S = (_readonly(a) for a in self.affine)
+            shapes = ((self.p, self.p), (self.p,), (self.p, self.d - 1))
+            if (M.shape, c.shape, S.shape) != shapes:
+                raise ValueError(f"affine form needs M {shapes[0]}, c {shapes[1]} and S {shapes[2]}")
+            if not all(np.isfinite(a).all() for a in (M, c, S)):
+                raise ValueError("affine form entries must be finite")
+            object.__setattr__(self, "affine", (M, c, S))
         if self.declared_dependence is not None:
             dep = np.asarray(self.declared_dependence, dtype=bool)
             if dep.shape != (self.p, self.p):
@@ -220,6 +233,8 @@ def field_from_callable(
             raise ValueError("a coefficient field needs func or batch_func")
 
         def batch_func(xs: np.ndarray) -> np.ndarray:
+            if len(xs) == 0:
+                return np.empty((0, p, d))
             return np.stack([np.asarray(func(x), dtype=float) for x in xs])
 
     return CoefficientField(p=p, d=d, batch_func=batch_func, **meta)
@@ -301,6 +316,29 @@ def drift_diffusion_field(
     )
 
 
+def affine_field(M: np.ndarray, c: np.ndarray, S: np.ndarray, **meta) -> CoefficientField:
+    """Canonical encoding of ``dX = (M X + c) dt + S dW``.
+
+    The field carries the form ``(M, c, S)``; its ``batch_func`` reads the
+    stored form, so evaluation and the Euler kernel share one definition.
+    Row j is declared to depend on the coordinates that row j of ``M`` reads.
+    """
+    M, c, S = np.atleast_2d(M), np.atleast_1d(c), np.atleast_2d(S)
+
+    def drift(xs: np.ndarray) -> np.ndarray:
+        M, c, _ = field.affine
+        return xs @ M.T + c
+
+    def diffusion(xs: np.ndarray) -> np.ndarray:
+        return field.affine[2]
+
+    field = drift_diffusion_field(
+        c.size, S.shape[1], drift, diffusion,
+        declared_dependence=M.T != 0.0, affine=(M, c, S), **meta,
+    )
+    return field
+
+
 @dataclass(frozen=True)
 class SdeSystem:
     """Coefficient field + driving Levy process + initial law."""
@@ -370,6 +408,9 @@ def _eval_finite(field: CoefficientField, xs: np.ndarray) -> np.ndarray:
 
 
 def _sobol_points(n_points: int, box: np.ndarray) -> np.ndarray:
+    # imported here: scipy.stats takes most of the package's import time
+    from scipy.stats import qmc
+
     p = box.shape[0]
     m = max(1, int(np.ceil(np.log2(max(n_points, 2)))))
     sampler = qmc.Sobol(d=p, scramble=False)

@@ -2,6 +2,7 @@
 commutation, convergence, CSV round trip."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from causalsde import (
     InterventionSpec,
     JumpAtom,
     LevyTriplet,
+    OuModel,
     SignatureGraph,
+    affine_field,
     build_euler_sem,
     check_commutation,
     constant_field,
@@ -23,6 +26,7 @@ from causalsde import (
     field_from_expressions,
     intervene_sde,
     load_builtin,
+    ou_to_system,
     sample_increments,
     simulate,
     simulate_shared,
@@ -225,10 +229,15 @@ class TestEulerSemStructure:
             assert k2 == k1 + 1
 
     def test_sem_evaluation_matches_simulation(self):
-        system = load_builtin("ou").system
+        affine = load_builtin("ou").system
+        # the SEM contracts coefficient tensors, as the generic step does;
+        # the builtin's affine step agrees with that step to rounding
+        system = _generic(affine)
         grid = Grid(0.5, 2.0**-4)
         n = 9
         ens = simulate(system, grid, n, seed=12)
+        stepped = simulate(affine, grid, n, seed=12).values
+        np.testing.assert_allclose(stepped, ens.values, rtol=0, atol=1e-13)
         esem = build_euler_sem(system, grid)
         sem = esem.to_sem_model(ens.values[:, 0, :])
         dz = driver_increments(system.driver, grid, n, seed=12)
@@ -256,7 +265,7 @@ class TestCommutation:
         report = check_commutation(
             built.system, built.intervention, Grid(1.0, 2.0**-8), 100, seed=7
         )
-        assert report["max_discrepancy"] <= 1e-12
+        assert report["max_discrepancy"] == 0.0
         assert report["passed"]
         assert report["explosion_pattern_match"]
 
@@ -280,6 +289,63 @@ class TestCommutation:
         )
         assert report["max_discrepancy"] <= 1e-12
         assert report["passed"]
+
+
+def _generic(system):
+    return replace(system, coeff=replace(system.coeff, affine=None))
+
+
+def _leveled_ou():
+    """OU with a nonzero level, a non-diagonal reversion and a non-diagonal diffusion."""
+    model = OuModel(
+        level=np.array([0.7, -0.3, 1.2]),
+        reversion=np.array([[-1.0, 0.4, 0.0], [0.3, -2.0, 0.5], [-0.2, 0.1, -1.5]]),
+        diffusion=np.array([[0.5, 0.2], [0.0, 1.0], [0.3, -0.4]]),
+        initial=InitialLaw(np.array([1.0, -0.5, 0.0]), 0.25 * np.eye(3)),
+    )
+    return ou_to_system(model)
+
+
+def _unstable():
+    """Affine field that grows about 26-fold per step and overflows near step 216."""
+    field = affine_field(
+        np.array([[200.0, 20.0], [10.0, 150.0]]), np.array([1.0, -2.0]),
+        np.array([[1.0, 0.5], [0.0, 2.0]]),
+    )
+    initial = InitialLaw(np.array([1.0, -1.0]), 100.0 * np.eye(2))
+    return SdeSystem(field, canonical_driver(2), initial)
+
+
+class TestAffineStep:
+    @pytest.mark.parametrize(
+        "system, grid, n_exploded",
+        [
+            (_leveled_ou(), Grid(1.0, 2.0**-6), 0),
+            (intervene_sde(_leveled_ou(), InterventionSpec(1, 1.5)), Grid(1.0, 2.0**-6), 0),
+            (_unstable(), Grid(32.0, 2.0**-3), 64),
+        ],
+        ids=["ou", "ou-held", "unstable"],
+    )
+    def test_matches_generic_step(self, system, grid, n_exploded):
+        assert system.coeff.affine is not None
+        affine = simulate(system, grid, 64, seed=3)
+        generic = simulate(_generic(system), grid, 64, seed=3)
+        assert affine.n_exploded == n_exploded
+        np.testing.assert_array_equal(affine.exploded_at, generic.exploded_at)
+        np.testing.assert_array_equal(np.isnan(affine.values), np.isnan(generic.values))
+        # absolute for states of order one, relative for the growing ones
+        gap = np.abs(affine.values - generic.values) / np.maximum(1.0, np.abs(generic.values))
+        assert np.nanmax(gap) <= 1e-13
+
+    def test_affine_step_builds_no_coefficient_tensor(self):
+        system = _leveled_ou()
+
+        def refuse(xs):
+            raise AssertionError("coefficient tensor evaluated")
+
+        field = replace(system.coeff, batch_func=refuse)
+        ens = simulate(replace(system, coeff=field), Grid(0.5, 2.0**-4), 8, seed=1)
+        assert ens.n_exploded == 0
 
 
 class TestConvergence:

@@ -247,7 +247,7 @@ GOLDEN = {
     ),
     "ou_reduced_slices": (
         _case_ou_reduced,
-        "deaa86158149d836538824a327ff3da1bf693982821e12ea1915971f7d74b409",
+        "6518f14f118313fe7486579b5d10afe826b9f2c7de9c9796419f5453294ea346",
     ),
     "exploding": (
         _case_explode,

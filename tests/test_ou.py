@@ -141,6 +141,23 @@ class TestOuIntervene:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("m, zeta", [(0, 2.0), (1, -0.5), (2, 0.0)])
+    def test_constant_hold_keeps_the_affine_form(self, m, zeta):
+        model = OuModel(
+            level=np.array([0.7, -0.3, 1.2]),
+            reversion=np.array([[-1.0, 0.4, 0.0], [0.3, -2.0, 0.5], [-0.2, 0.1, -1.5]]),
+            diffusion=np.array([[0.5, 0.2], [0.0, 1.0], [0.3, -0.4]]),
+        )
+        held = intervene_sde(ou_to_system(model), InterventionSpec(m, zeta)).coeff.affine
+        direct = ou_to_system(ou_intervene(model, m, zeta)).coeff.affine
+        assert held is not None
+        for h, d in zip(held, direct):
+            np.testing.assert_allclose(h, d, rtol=0, atol=1e-12)
+
+    def test_state_dependent_hold_has_no_affine_form(self):
+        reduced = intervene_sde(ou_to_system(example_model()), InterventionSpec(0, "0.5 * x1"))
+        assert reduced.coeff.affine is None
+
     def test_double_intervention_order_irrelevant(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((3, 3)) - 3.0 * np.eye(3)

@@ -1,9 +1,15 @@
 """System tests: coefficient fields, signature probing, chemical builder."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import causalsde
 from causalsde import (
+    CoefficientField,
     CoefficientOverflowError,
     Grid,
     InitialLaw,
@@ -11,7 +17,9 @@ from causalsde import (
     SdeSystem,
     SignatureGraph,
     SignatureMismatchError,
+    affine_field,
     build_chem_system,
+    compute_terms,
     constant_field,
     evaluate_coeff,
     field_from_callable,
@@ -135,6 +143,82 @@ class TestOneEvaluator:
         first[...] = -7.0
         np.testing.assert_array_equal(field(x), expected)
         np.testing.assert_array_equal(field.eval_batch(x[None])[0], expected)
+
+
+class TestEmptyStack:
+    @pytest.mark.parametrize("form", ["func", "batch_func"])
+    def test_empty_stack_gives_empty_terms(self, form):
+        maps = {
+            "func": lambda x: np.array([[x[0], 1.0]]),
+            "batch_func": lambda xs: np.stack([xs[:, 0], np.ones(len(xs))], axis=1)[:, None, :],
+        }
+        field = field_from_callable(1, 2, **{form: maps[form]})
+        assert field.eval_batch(np.zeros((0, 1))).shape == (0, 1, 2)
+        system = SdeSystem(field, bm_driver(2), InitialLaw(np.zeros(1)))
+        terms = compute_terms(system, np.zeros((0, 1)))
+        assert terms.beta.shape == (0, 1)
+        assert terms.diffusion.shape == (0, 1, 1)
+
+
+class TestAffineField:
+    M = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    c = np.array([0.5, -1.0])
+    S = np.array([[1.0, 0.25], [0.0, 0.5]])
+
+    def test_eval_batch_is_the_canonical_encoding(self):
+        field = affine_field(self.M, self.c, self.S)
+        assert (field.p, field.d) == (2, 3)
+        xs = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 0.0]])
+        out = field.eval_batch(xs)
+        np.testing.assert_allclose(out[:, :, 0], xs @ self.M.T + self.c, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out[:, :, 1:], np.broadcast_to(self.S, (3, 2, 2)))
+        np.testing.assert_array_equal(field.declared_dependence, self.M.T != 0.0)
+
+    def test_keeps_read_only_copies(self):
+        M = self.M.copy()
+        field = affine_field(M, self.c, self.S)
+        x = np.array([1.0, -1.0])
+        before = field(x)
+        M[0, 0] = 50.0
+        np.testing.assert_array_equal(field(x), before)
+        assert not any(a.flags.writeable for a in field.affine)
+
+    @pytest.mark.parametrize(
+        "M, c, S",
+        [
+            (np.eye(3), np.zeros(2), np.eye(2)),
+            (np.eye(2)[:, :1], np.zeros(2), np.eye(2)),
+            (np.eye(2), np.zeros(3), np.eye(2)),
+            (np.eye(2), np.zeros(2), np.eye(3)),
+        ],
+        ids=["M-rows", "M-columns", "c", "S"],
+    )
+    def test_rejects_a_misshaped_form(self, M, c, S):
+        with pytest.raises(ValueError, match="affine form needs"):
+            affine_field(M, c, S)
+        with pytest.raises(ValueError, match="affine form needs"):
+            CoefficientField(2, 3, lambda xs: None, affine=(M, c, S))
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_form(self, part, value):
+        form = [self.M.copy(), self.c.copy(), self.S.copy()]
+        form[part].flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            affine_field(*form)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``import causalsde`` does not load scipy.stats; probing loads it on demand."""
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]; import numpy as np, causalsde; "
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded on import'; "
+        "pts = causalsde.probe_points(causalsde.constant_field(np.eye(2)), 16); "
+        "assert pts.shape == (16, 2), pts.shape"
+    )
+    src = Path(causalsde.__file__).resolve().parents[1]
+    child = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
 
 
 class TestConstructorsCopyInputs:
