@@ -30,6 +30,7 @@ from .euler import (
     driver_increments,
     ensemble_from_csv,
     ensemble_to_csv,
+    ito_counterexample,
     simulate,
     simulate_shared,
     simulate_slices,
@@ -57,7 +58,6 @@ from .intervention import (
     intervene_sde,
     intervene_sem,
     intervene_update,
-    ito_counterexample,
 )
 from .ou import (
     OuModel,

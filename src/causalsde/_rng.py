@@ -51,14 +51,12 @@ def path_streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Genera
         yield g
 
 
-def block_stream(seed: int, block_index: int, lane: int = 0) -> np.random.Generator:
+def block_stream(seed: int, block_index: int) -> np.random.Generator:
     """Stream owned by a fixed-size block of paths (bulk samplers).
 
     Lives in a counter region disjoint from :func:`path_stream` (high word 1).
     """
-    bg = np.random.Philox(
-        counter=[0, int(lane), int(block_index), 1], key=_philox_key(seed)
-    )
+    bg = np.random.Philox(counter=[0, 0, int(block_index), 1], key=_philox_key(seed))
     return np.random.Generator(bg)
 
 

@@ -19,10 +19,11 @@ from .euler import (
     check_commutation,
     convergence_study,
     ensemble_to_csv,
+    ito_counterexample,
     simulate,
 )
 from .generator import apply_generator, compute_terms, bump_field_battery
-from .intervention import intervene_sde, ito_counterexample
+from .intervention import intervene_sde
 from .ou import ou_intervene, ou_transition
 from .presets import BUILTIN_NAMES, load_builtin, ou_builtin_model
 from .stats import identifiability_check

@@ -38,7 +38,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpAtom:
     """One atom of the jump measure: events of size ``location`` at ``rate`` per unit time."""
 
@@ -55,7 +55,7 @@ class JumpAtom:
             raise ValueError("jump location must be finite and nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevyTriplet:
     """Characteristic triplet (drift rate, Gaussian covariance rate, jump atoms).
 

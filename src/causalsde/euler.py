@@ -4,9 +4,10 @@ Paths follow the left-point recursion ``X_k = X_{k-1} + a(X_{k-1}) dZ_k``
 on a uniform grid.  The same recursion, read as a structural equation
 model with one primary variable per (time, coordinate) pair and the
 driver increments as noise variables, gives the discrete model whose
-intervention calculus mirrors the SDE-level intervention operator: both
-routes execute the same arithmetic, so the commutation check is exact up
-to floating-point reassociation.
+intervention calculus mirrors the SDE-level intervention operator.  The
+kernel and the structural equations both step through ``_euler_update``,
+and the commutation check feeds both routes the same inputs, so the two
+routes agree exactly.
 
 Paths that produce a non-finite value are frozen at the first bad step,
 flagged, and reported as a fraction instead of aborting a study.
@@ -17,12 +18,20 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from ._rng import path_streams
 from .driver import LevyTriplet, assemble_increments
-from .intervention import InterventionSpec, SemModel, SemVertex, intervene_sde, intervene_sem
+from .intervention import (
+    InterventionSpec,
+    SemModel,
+    SemVertex,
+    intervene_sde,
+    intervene_sem,
+    ito_pair_system,
+)
 from .system import CoefficientField, InitialLaw, SdeSystem, SignatureGraph
 
 __all__ = [
@@ -36,6 +45,7 @@ __all__ = [
     "SliceSample",
     "driver_increments",
     "check_commutation",
+    "ito_counterexample",
     "convergence_study",
     "ConvergenceStudy",
     "ensemble_to_csv",
@@ -79,7 +89,7 @@ class Grid:
         return int(round(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Monte Carlo paths on a grid with seed provenance.
 
@@ -117,6 +127,13 @@ class PathEnsemble:
         )
 
 
+def _euler_update(a: np.ndarray, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """The Euler step ``x + a dz`` of a stack of paths: whole states with
+    ``a`` of shape (n, p, d) and ``x`` (n, p), or one coordinate with
+    ``a`` (n, d) and ``x`` (n,)."""
+    return x + np.einsum("n...d,nd->n...", a, dz)
+
+
 def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=None):
     """Run the Euler recursion on a block of paths.
 
@@ -133,7 +150,7 @@ def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=N
     if field.affine is None:
 
         def step(x, dz_k):
-            return x + np.einsum("npd,nd->np", field.eval_batch(x), dz_k)
+            return _euler_update(field.eval_batch(x), x, dz_k)
 
     else:
         M, c, S = field.affine
@@ -226,33 +243,24 @@ def simulate(system: SdeSystem, grid: Grid, n_paths: int, seed: int) -> PathEnse
 def simulate_shared(
     systems: list[SdeSystem], grid: Grid, n_paths: int, seed: int
 ) -> list[PathEnsemble]:
-    """Simulate several systems against one shared increment tensor.
+    """Simulate several systems against shared noise.
 
     All drivers must be bit-identical and all initial laws fixed (shared
-    noise with random initial states would be ambiguous).
+    noise with random initial states would be ambiguous).  Path i's
+    increments depend only on the seed, i, the driver and the grid, so
+    each system is simulated by :func:`simulate`, chunk by chunk, and
+    path i of every system sees the same increments.
     """
-    if not systems:
-        return []
-    base = systems[0].driver
     for s in systems[1:]:
-        if not base.same_law(s.driver):
+        if not systems[0].driver.same_law(s.driver):
             raise ValueError("driver mismatch: shared simulation needs bit-identical drivers")
     for s in systems:
         if not s.initial.is_fixed:
             raise ValueError("shared simulation requires fixed initial values")
-    out = []
-    dz = driver_increments(base, grid, n_paths, seed)
-    indices = np.arange(n_paths)
-    for s in systems:
-        x0 = np.broadcast_to(s.initial.mean, (n_paths, s.p))
-        v, e = _euler_paths(s.coeff, x0, dz)
-        out.append(
-            PathEnsemble(grid, s.labels, v, int(seed), indices, e)
-        )
-    return out
+    return [simulate(s, grid, n_paths, seed) for s in systems]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceSample:
     """States of an ensemble at selected grid times, without full path storage."""
 
@@ -302,7 +310,7 @@ def simulate_slices(
 # Euler SEM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerSem:
     """Layered structural model of the Euler recursion.
 
@@ -337,7 +345,7 @@ class EulerSem:
                 yield (("x", k, j1), ("x", k + 1, j2))
 
     def parent_coordinates(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted({i} | {j1 for j1, j2 in self.signature.edges if j2 == i}))
+        return tuple(sorted(j1 for j1, j2 in self.layer_edges if j2 == i))
 
     def to_sem_model(self, initial_values: np.ndarray) -> SemModel:
         """Concrete SEM over path-vectorized values.
@@ -352,6 +360,7 @@ class EulerSem:
         p = self.system.p
         field = self.system.coeff
         fill = self.system.initial.mean
+        parent_js = [self.parent_coordinates(i) for i in range(p)]
         vertices = []
         for i in range(p):
             vertices.append(
@@ -359,12 +368,11 @@ class EulerSem:
             )
         for k in range(1, self.grid.n_steps + 1):
             for i in range(p):
-                parents = tuple(("x", k - 1, j) for j in self.parent_coordinates(i))
                 vertices.append(
                     SemVertex(
                         ("x", k, i),
-                        parents,
-                        _euler_update_func(field, k, i, self.parent_coordinates(i), fill),
+                        tuple(("x", k - 1, j) for j in parent_js[i]),
+                        _euler_update_func(field, k, i, parent_js[i], fill),
                         noise=("dz", k),
                     )
                 )
@@ -379,20 +387,15 @@ def _initial_func(column: np.ndarray):
 
 
 def _euler_update_func(field: CoefficientField, k: int, i: int, parent_js, fill):
+    """Structural equation of vertex (k, i): :func:`_euler_update` on row i."""
     p = field.p
-    parent_js = set(parent_js)
 
     def func(parent_values, dz):
-        n = dz.shape[0]
-        x = np.empty((n, p))
+        x = np.empty((dz.shape[0], p))
         for j in range(p):
-            if j in parent_js:
-                x[:, j] = parent_values[("x", k - 1, j)]
-            else:
-                x[:, j] = fill[j]
+            x[:, j] = parent_values[("x", k - 1, j)] if j in parent_js else fill[j]
         with np.errstate(all="ignore"):
-            step = np.einsum("nd,nd->n", field.eval_batch(x)[:, i], dz)
-        return parent_values[("x", k - 1, i)] + step
+            return _euler_update(field.eval_batch(x)[:, i], parent_values[("x", k - 1, i)], dz)
 
     return func
 
@@ -422,39 +425,33 @@ def check_commutation(
 
     Route A intervenes in the Euler SEM (holding the target at every
     layer) and evaluates it; route B discretizes the postintervention
-    system.  Both consume the same increments.  The held vertex of layer
-    k reads the other coordinates of layer k, as route B substitutes
-    ``zeta(X_k^{-m})`` into step k+1, so for every hold the two routes
-    execute identical arithmetic and the reported maximum discrepancy
-    over paths, grid points and untouched coordinates should vanish to
-    rounding.
+    system.  Both consume the same increments, and the system is stripped
+    of its affine form first, so route B takes the generic step.  The held
+    vertex of layer k reads the other coordinates of layer k, as route B
+    substitutes ``zeta(X_k^{-m})`` into step k+1.  Both routes then call
+    :func:`_euler_update` on the same inputs, so for every hold the
+    reported maximum discrepancy over paths, grid points and untouched
+    coordinates is exactly zero.
     """
+    system = replace(system, coeff=replace(system.coeff, affine=None))
     p, m = system.p, spec.target
     x0, dz = _draw_paths(system.driver, system.initial, grid, seed, range(n_paths))
 
     reduced = intervene_sde(system, spec)
-    # the generic step, so that both routes run the same arithmetic
-    generic = replace(reduced.coeff, affine=None)
-    vals_b, exploded_b = _euler_paths(generic, np.delete(x0, m, axis=1), dz)
+    vals_b, exploded_b = _euler_paths(reduced.coeff, np.delete(x0, m, axis=1), dz)
 
-    esem = build_euler_sem(system, grid)
-    sem = esem.to_sem_model(x0)
-    assignments = {}
-    for k in range(grid.n_steps + 1):
-        if spec.is_constant:
-            assignments[("x", k, m)] = spec.constant()
-        else:
-            read = tuple(("x", k, j) for j in range(p) if j != m)
-            assignments[("x", k, m)] = (read, _held_zeta(spec, read))
-    intervened = intervene_sem(sem, assignments)
-    noise = {("dz", k): dz[:, k - 1] for k in range(1, grid.n_steps + 1)}
-    env = intervened.evaluate(noise)
-
+    sem = build_euler_sem(system, grid).to_sem_model(x0)
     keep = [i for i in range(p) if i != m]
-    vals_a = np.empty((n_paths, grid.n_steps + 1, p - 1))
-    for k in range(grid.n_steps + 1):
-        for col, i in enumerate(keep):
-            vals_a[:, k, col] = np.broadcast_to(np.asarray(env[("x", k, i)]), (n_paths,))
+    layers = range(grid.n_steps + 1)
+    assignments = {}
+    for k in layers:
+        read = tuple(("x", k, j) for j in keep)
+        assignments[("x", k, m)] = (read, _held_zeta(spec, read))
+    noise = {("dz", k): dz[:, k - 1] for k in layers[1:]}
+    env = intervene_sem(sem, assignments).evaluate(noise)
+    del noise, dz  # free the increments before route A's values are gathered
+    vals_a = np.stack([env[("x", k, i)] for k in layers for i in keep], axis=1)
+    vals_a = vals_a.reshape(n_paths, len(layers), p - 1)
 
     finite_a = np.isfinite(vals_a)
     finite_b = np.isfinite(vals_b)
@@ -481,6 +478,53 @@ def _held_zeta(spec: InterventionSpec, read):
         return spec.apply(ys)
 
     return zeta
+
+
+def ito_counterexample(
+    f: Callable,
+    f_prime: Callable,
+    f_second: Callable,
+    zeta: float,
+    horizon: float,
+    delta: float,
+    n_paths: int,
+    seed: int,
+) -> dict:
+    """Hold the Wiener coordinate of the pair (W, f(W)) and compare outcomes.
+
+    The pair solves a two-dimensional system (second row from the chain
+    rule), and holding the first coordinate at a constant gives the path
+    ``f(0) + f''(zeta) t / 2 + f'(zeta) W_t`` rather than the constant
+    ``f(zeta)`` one might expect from the overt functional relationship.
+    The report carries the pathwise distance from both candidates under
+    shared noise.
+    """
+    zeta = float(zeta)
+    system = ito_pair_system(f, f_prime, f_second)
+    grid = Grid(horizon, delta)
+    reduced = intervene_sde(system, InterventionSpec(0, zeta))
+    ensemble = simulate(reduced, grid, n_paths, seed)
+    dz = driver_increments(system.driver, grid, n_paths, seed)
+    w = np.concatenate(
+        [np.zeros((n_paths, 1)), np.cumsum(dz[:, :, 1], axis=1)], axis=1
+    )
+    times = grid.times
+    closed = f(0.0) + 0.5 * f_second(zeta) * times + f_prime(zeta) * w
+    paths = ensemble.values[:, :, 0]
+    ok = np.isfinite(paths)
+    dist_def = np.abs(np.where(ok, paths - closed, 0.0)).max()
+    dist_const = np.abs(np.where(ok, paths - f(zeta), 0.0))
+    return {
+        "max_distance_from_definition_path": float(dist_def),
+        "max_distance_from_assumed_constant": float(dist_const.max()),
+        "distance_assumed_at_time_zero": float(abs(f(0.0) - f(zeta))),
+        "median_final_distance_from_assumed": float(np.median(dist_const[:, -1])),
+        "zeta": zeta,
+        "horizon": float(horizon),
+        "delta": float(delta),
+        "n_paths": int(n_paths),
+        "n_exploded": int(ensemble.n_exploded),
+    }
 
 
 # ---------------------------------------------------------------------------

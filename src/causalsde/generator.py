@@ -160,7 +160,7 @@ def bump_field_battery(p: int, width: float = 1.5) -> list[ScalarField2]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorTerms:
     """Generator data at a point, or at a stack of points along a leading
     axis: effective drift, diffusion matrix, and the pushforward jump atoms

@@ -18,7 +18,7 @@ from typing import Any, Callable, Hashable, Mapping
 import numpy as np
 
 from .expr import Expression, parse_expression
-from .system import CoefficientField, SdeSystem
+from .system import CoefficientField, SdeSystem, canonical_driver, drift_diffusion_field
 
 __all__ = [
     "InterventionSpec",
@@ -31,7 +31,6 @@ __all__ = [
     "full_process_lift",
     "intervene_sem",
     "intervene_update",
-    "ito_counterexample",
 ]
 
 
@@ -282,6 +281,11 @@ class SemModel:
         return {v.name: v.noise for v in self.vertices}
 
     def topo_order(self) -> tuple:
+        return self._order
+
+    @cached_property
+    def _order(self) -> tuple:
+        """Kahn's sort, ties broken by vertex position."""
         order_index = {v.name: k for k, v in enumerate(self.vertices)}
         indegree = {v.name: len(v.parents) for v in self.vertices}
         children: dict[Hashable, list] = {v.name: [] for v in self.vertices}
@@ -378,58 +382,8 @@ def intervene_update(
     return intervened
 
 
-def ito_counterexample(
-    f: Callable,
-    f_prime: Callable,
-    f_second: Callable,
-    zeta: float,
-    horizon: float,
-    delta: float,
-    n_paths: int,
-    seed: int,
-) -> dict:
-    """Hold the Wiener coordinate of the pair (W, f(W)) and compare outcomes.
-
-    The pair solves a two-dimensional system (second row from the chain
-    rule), and holding the first coordinate at a constant gives the path
-    ``f(0) + f''(zeta) t / 2 + f'(zeta) W_t`` rather than the constant
-    ``f(zeta)`` one might expect from the overt functional relationship.
-    The report carries the pathwise distance from both candidates under
-    shared noise.
-    """
-    from .euler import Grid, driver_increments, simulate
-
-    zeta = float(zeta)
-    system = ito_pair_system(f, f_prime, f_second)
-    grid = Grid(horizon, delta)
-    reduced = intervene_sde(system, InterventionSpec(0, zeta))
-    ensemble = simulate(reduced, grid, n_paths, seed)
-    dz = driver_increments(system.driver, grid, n_paths, seed)
-    w = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(dz[:, :, 1], axis=1)], axis=1
-    )
-    times = grid.times
-    closed = f(0.0) + 0.5 * f_second(zeta) * times + f_prime(zeta) * w
-    paths = ensemble.values[:, :, 0]
-    ok = np.isfinite(paths)
-    dist_def = np.abs(np.where(ok, paths - closed, 0.0)).max()
-    dist_const = np.abs(np.where(ok, paths - f(zeta), 0.0))
-    return {
-        "max_distance_from_definition_path": float(dist_def),
-        "max_distance_from_assumed_constant": float(dist_const.max()),
-        "distance_assumed_at_time_zero": float(abs(f(0.0) - f(zeta))),
-        "median_final_distance_from_assumed": float(np.median(dist_const[:, -1])),
-        "zeta": zeta,
-        "horizon": float(horizon),
-        "delta": float(delta),
-        "n_paths": int(n_paths),
-        "n_exploded": int(ensemble.n_exploded),
-    }
-
-
 def ito_pair_system(f: Callable, f_prime: Callable, f_second: Callable) -> SdeSystem:
     """Two-dimensional system for (W, f(W)) with the chain-rule second row."""
-    from .system import canonical_driver, drift_diffusion_field
 
     def drift(xs: np.ndarray) -> np.ndarray:
         out = np.zeros((xs.shape[0], 2))

@@ -33,7 +33,7 @@ class SingularReversionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuModel:
     """Mean-reversion level, speed matrix, diffusion matrix and initial law."""
 

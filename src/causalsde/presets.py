@@ -26,7 +26,7 @@ from .driver import LevyTriplet
 __all__ = ["Builtin", "load_builtin", "BUILTIN_NAMES", "two_signature_pair", "ou_builtin_model"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Builtin:
     """A named example: system, default intervention, optional partner system."""
 

@@ -218,7 +218,6 @@ def identifiability_check(
     n_permutations: int = 500,
     energy_max_points: int = 2048,
     structure_points: int = 256,
-    structure_tol: float = 1e-9,
 ) -> TestReport:
     """Test whether two systems share their postintervention distribution.
 
@@ -235,7 +234,7 @@ def identifiability_check(
         raise ValueError("identifiability_check needs n_paths >= 1000 for asymptotic KS p-values")
     times = sorted({float(t) for t in times})
     pts = _probe_grid([sys_a.coeff, sys_b.coeff], structure_points, None, [0.0], 1e-3)
-    comparison = compare_generators(sys_a, sys_b, pts, tol=structure_tol)
+    comparison = compare_generators(sys_a, sys_b, pts, tol=1e-9)
     comparison_summary = {
         k: comparison[k]
         for k in (

@@ -90,7 +90,7 @@ def is_locally_unaffected(signature: SignatureGraph, i: int, j: int) -> bool:
     return not signature.has_edge(i, j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialLaw:
     """Initial state: a fixed point or a Gaussian law."""
 
@@ -143,7 +143,7 @@ class InitialLaw:
         return InitialLaw(mean, cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Pure mapping from stacks of states (n, p) to stacks of p x d
     coefficient matrices (n, p, d).
@@ -339,7 +339,7 @@ def affine_field(M: np.ndarray, c: np.ndarray, S: np.ndarray, **meta) -> Coeffic
     return field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdeSystem:
     """Coefficient field + driving Levy process + initial law."""
 

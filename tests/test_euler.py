@@ -20,6 +20,7 @@ from causalsde import (
     constant_field,
     convergence_study,
     driver_increments,
+    embed_constant_intervention,
     ensemble_from_csv,
     ensemble_to_csv,
     field_from_callable,
@@ -33,7 +34,7 @@ from causalsde import (
     simulate_slices,
 )
 from causalsde._rng import _philox_key, path_stream
-from causalsde.euler import _draw_paths
+from causalsde.euler import _CHUNK, _draw_paths, _euler_update
 from causalsde.system import InitialLaw, SdeSystem, canonical_driver
 
 
@@ -159,6 +160,17 @@ class TestSharedSimulation:
         with pytest.raises(ValueError, match="driver mismatch"):
             simulate_shared([other, bad], Grid(0.5, 0.25), 4, seed=0)
 
+    def test_equals_simulate_across_chunks(self):
+        built = load_builtin("ou")
+        held = embed_constant_intervention(built.system, 0, 2.0)
+        assert built.system.coeff.affine is not None
+        grid, n = Grid(0.25, 2.0**-4), _CHUNK + 37
+        shared = simulate_shared([built.system, held], grid, n, seed=5)
+        for system, ens in zip([built.system, held], shared):
+            alone = simulate(system, grid, n, seed=5)
+            assert ens.values.tobytes() == alone.values.tobytes()
+            np.testing.assert_array_equal(ens.exploded_at, alone.exploded_at)
+
 
 def _seed_with_high_key_words(count: int) -> int:
     # one word at or above 2**63: numpy rounds the mixed key tuple through float64
@@ -208,6 +220,19 @@ class TestDrawPaths:
             assert dz[idx].tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 7, 1000, 4096])
+def test_euler_update_equals_explicit_contractions(n):
+    rng = np.random.default_rng(n)
+    for p in (1, 2, 3, 5):
+        for d in (1, 2, 3, 5, 8, 17):
+            a, x, dz = rng.normal(size=(n, p, d)), rng.normal(size=(n, p)), rng.normal(size=(n, d))
+            full = x + np.einsum("npd,nd->np", a, dz)
+            assert _euler_update(a, x, dz).tobytes() == full.tobytes()
+            for i in range(p):
+                row = x[:, i] + np.einsum("nd,nd->n", a[:, i], dz)
+                assert _euler_update(a[:, i], x[:, i], dz).tobytes() == row.tobytes()
+
+
 class TestEulerSemStructure:
     def test_figure_signature_layer_count(self):
         # three coordinates; edges: self-loop on 1, 1 -> 2, 3 -> 2
@@ -228,6 +253,14 @@ class TestEulerSemStructure:
         for (_, k1, _), (_, k2, _) in esem.dag_edges():
             assert k2 == k1 + 1
 
+    @staticmethod
+    def sem_values(system, grid, x0, dz):
+        env = build_euler_sem(system, grid).to_sem_model(x0).evaluate(
+            {("dz", k): dz[:, k - 1] for k in range(1, grid.n_steps + 1)}
+        )
+        layers = [[env[("x", k, i)] for i in range(system.p)] for k in range(grid.n_steps + 1)]
+        return np.transpose(layers, (2, 0, 1))
+
     def test_sem_evaluation_matches_simulation(self):
         affine = load_builtin("ou").system
         # the SEM contracts coefficient tensors, as the generic step does;
@@ -238,13 +271,28 @@ class TestEulerSemStructure:
         ens = simulate(system, grid, n, seed=12)
         stepped = simulate(affine, grid, n, seed=12).values
         np.testing.assert_allclose(stepped, ens.values, rtol=0, atol=1e-13)
-        esem = build_euler_sem(system, grid)
-        sem = esem.to_sem_model(ens.values[:, 0, :])
         dz = driver_increments(system.driver, grid, n, seed=12)
-        env = sem.evaluate({("dz", k): dz[:, k - 1] for k in range(1, grid.n_steps + 1)})
-        for k in range(grid.n_steps + 1):
-            for i in range(system.p):
-                np.testing.assert_array_equal(env[("x", k, i)], ens.values[:, k, i])
+        # the SEM of either field never takes the affine step
+        for s in (system, affine):
+            values = self.sem_values(s, grid, ens.values[:, 0, :], dz)
+            assert values.tobytes() == ens.values.tobytes()
+
+    def test_sparse_signature_fills_unread_coordinates(self):
+        # row 1 reads x1 only and row 3 reads x3 only, so their states are
+        # assembled with the other coordinates taken from the initial mean
+        field = field_from_expressions(
+            [["-x1", "1", "0"], ["x1 - x2 * x2", "0", "0.5"], ["0.3 * x3", "0", "x3"]]
+        )
+        driver = LevyTriplet(dim=3, alpha=[1.0, 0.0, 0.0], cov=np.diag([0.0, 1.0, 1.0]),
+                             jumps=(JumpAtom(2.0, [0.0, 0.5, 0.0]),))
+        system = SdeSystem(field, driver, InitialLaw(np.array([1.0, -0.5, 2.0])))
+        grid = Grid(0.5, 2.0**-5)
+        esem = build_euler_sem(system, grid)
+        assert [esem.parent_coordinates(i) for i in range(3)] == [(0,), (0, 1), (2,)]
+        ens = simulate(system, grid, 11, seed=4)
+        dz = driver_increments(system.driver, grid, 11, seed=4)
+        values = self.sem_values(system, grid, ens.values[:, 0, :], dz)
+        assert values.tobytes() == ens.values.tobytes()
 
     def test_intervened_sem_keeps_noise_assignment(self):
         from causalsde import intervene_sem
@@ -287,8 +335,16 @@ class TestCommutation:
         report = check_commutation(
             system, InterventionSpec(0, "0.5 * x1"), Grid(0.5, delta), 10, seed=1
         )
-        assert report["max_discrepancy"] <= 1e-12
+        assert report["max_discrepancy"] == 0.0
         assert report["passed"]
+
+    @pytest.mark.parametrize("value", [1.5, "0.5 * x1 - x2 * x2"], ids=["constant", "expression"])
+    def test_gaussian_initial_law_commutes_exactly(self, value):
+        report = check_commutation(
+            _leveled_ou(), InterventionSpec(1, value), Grid(0.5, 2.0**-6), 50, seed=2
+        )
+        assert report["max_discrepancy"] == 0.0
+        assert report["explosion_pattern_match"]
 
 
 def _generic(system):

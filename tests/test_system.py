@@ -1,5 +1,6 @@
 """System tests: coefficient fields, signature probing, chemical builder."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -406,3 +407,33 @@ def test_labels_must_be_distinct():
 def test_driver_dimension_must_match():
     with pytest.raises(ValueError, match="driver"):
         SdeSystem(constant_field(np.ones((2, 3))), bm_driver(2), InitialLaw(np.zeros(2)))
+
+
+def _array_holders():
+    built = load_builtin("ou")
+    system = built.system
+    ou = causalsde.OuModel(level=np.zeros(1), reversion=-np.eye(1), diffusion=np.eye(1))
+    grid = Grid(0.5, 0.25)
+    return {
+        "CoefficientField": system.coeff,
+        "LevyTriplet": system.driver,
+        "InitialLaw": system.initial,
+        "JumpAtom": causalsde.JumpAtom(1.0, [0.5]),
+        "OuModel": ou,
+        "EulerSem": causalsde.build_euler_sem(system, grid),
+        "Builtin": built,
+        "SdeSystem": system,
+        "PathEnsemble": simulate(system, grid, 3, seed=0),
+        "SliceSample": causalsde.simulate_slices(system, 0.25, [0.5], 3, seed=0),
+        "GeneratorTerms": compute_terms(system, np.zeros(2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    """Frozen types that hold arrays use identity equality and hashing:
+    comparing the arrays would raise, and hashing them is impossible."""
+    x = _array_holders()[name]
+    assert x == x
+    assert x != dataclasses.replace(x)
+    assert hash(x) == hash(x)
