@@ -15,7 +15,6 @@ from .driver import (
     default_u_grid,
     empirical_cf,
     psd_factor,
-    sample_increment,
     sample_increments,
 )
 from .euler import (
@@ -75,7 +74,6 @@ from .stats import (
     holm_rejections,
     identifiability_check,
     ks_two_sample,
-    moment_compare,
 )
 from .system import (
     CoefficientField,
@@ -89,10 +87,8 @@ from .system import (
     canonical_driver,
     constant_field,
     drift_diffusion_field,
-    evaluate_coeff,
     field_from_callable,
     field_from_expressions,
-    is_locally_unaffected,
     probe_points,
     probe_signature,
 )

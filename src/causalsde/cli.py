@@ -60,6 +60,10 @@ def _ensure_out(path: str) -> str:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    if args.paths is not None and args.paths < 1:
+        raise ConfigError("--paths must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     if args.seed is not None:
         cfg.seed = int(args.seed)
     if args.paths is not None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import JumpAtom, LevyTriplet
 from .euler import Grid
-from .intervention import InterventionSpec
+from .intervention import InterventionSpec, intervene_sde
 from .ou import OuModel, ou_to_system
 from .presets import load_builtin
 from .system import InitialLaw, SdeSystem, build_chem_system, field_from_expressions
@@ -156,6 +156,7 @@ def load_config(source: str | dict) -> ExperimentConfig:
             ) from exc
         try:
             intervention = InterventionSpec(target=target, value=node["value"])
+            intervene_sde(system, intervention)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

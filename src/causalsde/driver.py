@@ -24,7 +24,6 @@ __all__ = [
     "check_covariance",
     "psd_factor",
     "characteristic_function",
-    "sample_increment",
     "sample_increments",
     "assemble_increments",
     "empirical_cf",
@@ -195,15 +194,6 @@ def characteristic_function(triplet: LevyTriplet, u: np.ndarray, t: float) -> co
         exponent = exponent + atom.rate * term
     out = np.exp(float(t) * exponent)
     return complex(out[0]) if single else out
-
-
-def sample_increment(triplet: LevyTriplet, delta: float, stream: np.random.Generator) -> np.ndarray:
-    """Draw one increment of the driver over a window of length ``delta``.
-
-    Deterministic given the stream state: the Gaussian part is drawn first,
-    then one Poisson count per jump atom.
-    """
-    return sample_increments(triplet, delta, 1, stream)[0]
 
 
 def sample_increments(

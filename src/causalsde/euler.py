@@ -202,21 +202,30 @@ def _draw_paths(triplet: LevyTriplet, initial: InitialLaw, grid: Grid, seed: int
     return x0, dz
 
 
+def _path_chunks(n_paths: int, size: int = _CHUNK) -> list[range]:
+    """``range(n_paths)`` cut into consecutive ranges of at most ``size`` paths."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    return [range(b0, min(b0 + size, n_paths)) for b0 in range(0, n_paths, size)]
+
+
 def driver_increments(triplet: LevyTriplet, grid: Grid, n_paths: int, seed: int) -> np.ndarray:
     """The increment tensor (n_paths, n_steps, d) that simulation of a
     fixed-initial system with the same seed consumes."""
-    return _draw_paths(triplet, InitialLaw(np.zeros(0)), grid, seed, range(n_paths))[1]
+    [paths] = _path_chunks(n_paths, n_paths)
+    return _draw_paths(triplet, InitialLaw(np.zeros(0)), grid, seed, paths)[1]
 
 
 def _simulate_chunked(system: SdeSystem, grid: Grid, n_paths: int, seed: int, keep=None):
     """Run ``n_paths`` paths in chunks; path i always draws from its own stream."""
+    chunks = _path_chunks(n_paths)
     n_keep = grid.n_steps + 1 if keep is None else len(keep)
     states = np.empty((n_paths, n_keep, system.p))
     exploded = np.empty(n_paths, dtype=np.int64)
-    for b0 in range(0, n_paths, _CHUNK):
-        b1 = min(b0 + _CHUNK, n_paths)
-        x0, dz = _draw_paths(system.driver, system.initial, grid, seed, range(b0, b1))
-        states[b0:b1], exploded[b0:b1] = _euler_paths(system.coeff, x0, dz, keep)
+    for paths in chunks:
+        x0, dz = _draw_paths(system.driver, system.initial, grid, seed, paths)
+        rows = slice(paths.start, paths.stop)
+        states[rows], exploded[rows] = _euler_paths(system.coeff, x0, dz, keep)
         del x0, dz  # free this chunk's increments before the next chunk draws its own
     return states, exploded
 
@@ -227,8 +236,6 @@ def simulate(system: SdeSystem, grid: Grid, n_paths: int, seed: int) -> PathEnse
     Path i draws its initial state and increments from its own
     counter-derived stream, so results do not depend on chunking.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     values, exploded = _simulate_chunked(system, grid, n_paths, seed)
     return PathEnsemble(
         grid=grid,
@@ -435,7 +442,8 @@ def check_commutation(
     """
     system = replace(system, coeff=replace(system.coeff, affine=None))
     p, m = system.p, spec.target
-    x0, dz = _draw_paths(system.driver, system.initial, grid, seed, range(n_paths))
+    [paths] = _path_chunks(n_paths, n_paths)
+    x0, dz = _draw_paths(system.driver, system.initial, grid, seed, paths)
 
     reduced = intervene_sde(system, spec)
     vals_b, exploded_b = _euler_paths(reduced.coeff, np.delete(x0, m, axis=1), dz)
@@ -575,10 +583,9 @@ def convergence_study(
     counts = {d: 0 for d in deltas}
     excluded = {d: 0 for d in deltas}
 
-    for b0 in range(0, n_paths, _CHUNK):
-        b1 = min(b0 + _CHUNK, n_paths)
-        x0, dz_f = _draw_paths(system.driver, system.initial, fine, seed, range(b0, b1))
-        n = b1 - b0
+    for paths in _path_chunks(n_paths):
+        x0, dz_f = _draw_paths(system.driver, system.initial, fine, seed, paths)
+        n = len(paths)
         if exact is None:
             ref_full, ref_expl = _euler_paths(system.coeff, x0, dz_f)
         else:

@@ -338,9 +338,6 @@ class SemigroupEstimate:
     std_error: float
     n_exploded: int
 
-    def __iter__(self):
-        return iter((self.estimate, self.std_error))
-
 
 def semigroup_estimate(
     system: SdeSystem,
@@ -360,6 +357,8 @@ def semigroup_estimate(
     """
     if not t > 0:
         raise ValueError("t must be positive")
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     grid = Grid(t, t / n_substeps)
     block = 1 << 13  # keys block_stream, so it fixes the sampled values

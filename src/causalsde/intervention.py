@@ -117,6 +117,9 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
         raise ValueError("intervention needs at least two coordinates")
     if m >= p:
         raise ValueError(f"target coordinate {m} out of range for dimension {p}")
+    read = max(spec.value.variables, default=-1) if isinstance(spec.value, Expression) else -1
+    if read >= p - 1:
+        raise ValueError(f"held value reads x{read + 1}, but the reduced state is x1..x{p - 1}")
     orig = system.coeff
     keep = [i for i in range(p) if i != m]
 
@@ -152,13 +155,6 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
     if orig.probe_box:
         probe_box = tuple(b for i, b in enumerate(orig.probe_box) if i != m)
 
-    validator = None
-    if orig.validator is not None:
-        parent_validator = orig.validator
-
-        def validator(y: np.ndarray) -> None:
-            parent_validator(inserted(y[None, :])[0])
-
     field = CoefficientField(
         p=p - 1,
         d=orig.d,
@@ -166,7 +162,6 @@ def intervene_sde(system: SdeSystem, spec: InterventionSpec) -> SdeSystem:
         declared_dependence=declared,
         singular_points=singular,
         probe_box=probe_box,
-        validator=validator,
         affine=affine,
     )
     labels = tuple(lb for i, lb in enumerate(system.labels) if i != m)
@@ -202,17 +197,8 @@ def embed_constant_intervention(system: SdeSystem, m: int, zeta: float) -> SdeSy
         declared = orig.declared_dependence.copy()
         declared[:, m] = False
 
-    field = CoefficientField(
-        p=p,
-        d=orig.d,
-        batch_func=batch,
-        declared_dependence=declared,
-        singular_points=orig.singular_points,
-        probe_box=orig.probe_box,
-        validator=orig.validator,
-    )
     return SdeSystem(
-        coeff=field,
+        coeff=replace(orig, batch_func=batch, declared_dependence=declared, affine=None),
         driver=system.driver,
         initial=system.initial.fix_coordinate(m, float(zeta)),
         labels=system.labels,

@@ -25,7 +25,6 @@ from .system import SdeSystem, _probe_grid
 __all__ = [
     "ks_two_sample",
     "energy_distance_test",
-    "moment_compare",
     "holm_rejections",
     "TestReport",
     "identifiability_check",
@@ -119,36 +118,6 @@ def energy_distance_test(
     return float(statistic), float(p_value)
 
 
-def moment_compare(a, b, orders: tuple[int, ...] = (1, 2)) -> dict:
-    """Two-sample z-scores for means and variances, per coordinate.
-
-    Standard errors are plug-in: the usual one for means, and the
-    asymptotic fourth-moment formula for variances.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    n, m = len(a), len(b)
-    if n < 2 or m < 2:
-        raise ValueError("need at least two observations per sample")
-    out: dict[str, np.ndarray] = {}
-    if 1 in orders:
-        se = np.sqrt(a.var(0, ddof=1) / n + b.var(0, ddof=1) / m)
-        diff = a.mean(0) - b.mean(0)
-        out["mean"] = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
-    if 2 in orders:
-        va, vb = a.var(0, ddof=1), b.var(0, ddof=1)
-        m4a = ((a - a.mean(0)) ** 4).mean(0)
-        m4b = ((b - b.mean(0)) ** 4).mean(0)
-        se = np.sqrt(np.maximum(m4a - va**2, 0.0) / n + np.maximum(m4b - vb**2, 0.0) / m)
-        diff = va - vb
-        out["variance"] = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
-    return out
-
-
 def holm_rejections(p_values, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Step-down Holm procedure.
 
@@ -183,7 +152,6 @@ class TestReport:
     alpha: float
     corrected_alpha: float
     verdict: str
-    correction: str = "holm"
     breakdown: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -198,7 +166,7 @@ class TestReport:
             "p_value": self.p_value,
             "alpha": self.alpha,
             "corrected_alpha": self.corrected_alpha,
-            "correction": self.correction,
+            "correction": "holm",
             "verdict": self.verdict,
         }
         out.update(self.extras)

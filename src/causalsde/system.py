@@ -31,10 +31,8 @@ __all__ = [
     "InitialLaw",
     "CoefficientOverflowError",
     "SignatureMismatchError",
-    "evaluate_coeff",
     "probe_signature",
     "probe_points",
-    "is_locally_unaffected",
     "build_chem_system",
     "canonical_driver",
     "constant_field",
@@ -81,13 +79,6 @@ class SignatureGraph:
             lines.append(f'  "{names[i]}" -> "{names[j]}";')
         lines.append("}")
         return "\n".join(lines)
-
-
-def is_locally_unaffected(signature: SignatureGraph, i: int, j: int) -> bool:
-    """True when coordinate j is locally unaffected by coordinate i (no edge i -> j)."""
-    if not (0 <= i < signature.n_vertices and 0 <= j < signature.n_vertices):
-        raise ValueError("vertex index out of range")
-    return not signature.has_edge(i, j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +156,6 @@ class CoefficientField:
     declared_dependence: np.ndarray | None = None
     singular_points: tuple = ()
     probe_box: tuple = ()
-    validator: Callable[[np.ndarray], None] | None = None
     affine: tuple | None = None
 
     def __post_init__(self):
@@ -387,16 +377,6 @@ class SdeSystem:
             raise KeyError(f"unknown coordinate label {label!r}") from None
 
 
-def evaluate_coeff(system: SdeSystem, x: np.ndarray) -> np.ndarray:
-    """Evaluate the coefficient matrix at one state, rejecting non-finite output."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.p,):
-        raise ValueError(f"state must have shape ({system.p},)")
-    if system.coeff.validator is not None:
-        system.coeff.validator(x)
-    return _eval_finite(system.coeff, x[None, :])[0]
-
-
 def _eval_finite(field: CoefficientField, xs: np.ndarray) -> np.ndarray:
     """``field.eval_batch(xs)``, raising :class:`CoefficientOverflowError`
     that names the first state with a non-finite entry."""
@@ -496,9 +476,9 @@ def build_chem_system(
     one nonnegative rate expression per reaction in the species
     concentrations x1..xp.  The system has drift ``S @ rates(x)`` and
     diffusion ``S @ diag(sqrt(rates(x)))`` against R Wiener coordinates in
-    the canonical encoding.  A negative rate is a domain error: direct
-    evaluation reports it, and during simulation the square root makes the
-    path explode.
+    the canonical encoding.  A negative rate is a domain error: its square
+    root is NaN, so :func:`compute_terms` and :func:`apply_generator` report
+    a non-finite coefficient at that state, and a simulated path explodes.
     """
     S = np.atleast_2d(np.asarray(stoichiometry, dtype=float))
     p, n_react = S.shape
@@ -521,11 +501,6 @@ def build_chem_system(
     def diffusion(xs: np.ndarray) -> np.ndarray:
         return np.sqrt(rates_batch(xs))[:, None, :] * S[None, :, :]
 
-    def validate(x: np.ndarray) -> None:
-        lam = rates_batch(x[None, :])[0]
-        if np.any(lam < 0):
-            raise ValueError(f"rate negative at x={x.tolist()}")
-
     # dependence: row j of drift/diffusion involves every rate with S[j, k] != 0
     dep = np.zeros((p, p), dtype=bool)
     for j in range(p):
@@ -541,7 +516,6 @@ def build_chem_system(
         diffusion,
         declared_dependence=dep,
         probe_box=tuple((1e-3, 5.0) for _ in range(p)),
-        validator=validate,
     )
     return SdeSystem(
         coeff=field,

@@ -96,6 +96,15 @@ class TestConfigLoading:
                 }
             )
 
+    def test_hold_reading_a_missing_coordinate(self):
+        with pytest.raises(ConfigError, match="held value reads x2"):
+            load_config(
+                {
+                    "system": {"kind": "builtin", "name": "ou"},
+                    "intervention": {"target": "x1", "value": "x2"},
+                }
+            )
+
     def test_ou_config(self):
         cfg = load_config(
             {
@@ -216,6 +225,14 @@ class TestSubcommands:
     def test_exit_code_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"system": {"kind": "builtin"}})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("flags", [["--paths", "0"], ["--paths", "-3"], ["--seed", "-1"]])
+    def test_override_below_schema_minimum(self, tmp_path, capsys, flags):
+        doc = {"system": {"kind": "builtin", "name": "ou"}, "grid": {"horizon": 0.5, "delta": 0.25}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["check-commute", "--config", cfg, "--out", str(tmp_path), *flags]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(tmp_path, "commutation.json"))
 
     def test_exit_code_missing_file(self, tmp_path):
         assert main(["simulate", "--config", os.path.join(tmp_path, "nope.json")]) == 1

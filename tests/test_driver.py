@@ -10,7 +10,6 @@ from causalsde import (
     default_u_grid,
     empirical_cf,
     psd_factor,
-    sample_increment,
     sample_increments,
 )
 from causalsde._rng import path_stream
@@ -91,7 +90,7 @@ class TestPsdFactor:
 class TestSampling:
     def test_pure_drift_is_deterministic(self):
         triplet = LevyTriplet(dim=1, alpha=[2.0], cov=0.0)
-        inc = sample_increment(triplet, 0.5, path_stream(123, 0))
+        inc = sample_increments(triplet, 0.5, 1, path_stream(123, 0))[0]
         assert inc.shape == (1,)
         assert inc[0] == 1.0
 
@@ -109,14 +108,14 @@ class TestSampling:
 
     def test_deterministic_given_stream_state(self):
         triplet = two_atom_triplet()
-        a = sample_increment(triplet, 0.3, path_stream(5, 17))
-        b = sample_increment(triplet, 0.3, path_stream(5, 17))
+        a = sample_increments(triplet, 0.3, 1, path_stream(5, 17))[0]
+        b = sample_increments(triplet, 0.3, 1, path_stream(5, 17))[0]
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         triplet = brownian_with_drift()
-        a = sample_increment(triplet, 0.3, path_stream(5, 0))
-        b = sample_increment(triplet, 0.3, path_stream(5, 1))
+        a = sample_increments(triplet, 0.3, 1, path_stream(5, 0))[0]
+        b = sample_increments(triplet, 0.3, 1, path_stream(5, 1))[0]
         assert not np.array_equal(a, b)
 
 

@@ -404,6 +404,26 @@ class TestAffineStep:
         assert ens.n_exploded == 0
 
 
+class TestNoPaths:
+    """Every entry point that draws paths rejects an empty or negative path
+    count; a commutation check over no paths is not a verdict."""
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_simulation_entry_points(self, n_paths):
+        built = load_builtin("ou")
+        system = built.system
+        calls = [
+            lambda: check_commutation(system, built.intervention, Grid(0.5, 0.25), n_paths, seed=0),
+            lambda: simulate(system, Grid(0.5, 0.25), n_paths, seed=0),
+            lambda: simulate_slices(system, 0.25, [0.5], n_paths, seed=0),
+            lambda: convergence_study(system, None, [0.25, 0.125], 0.5, n_paths, seed=0),
+            lambda: driver_increments(system.driver, Grid(0.5, 0.25), n_paths, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="n_paths must be positive"):
+                call()
+
+
 class TestConvergence:
     def test_zero_field_has_zero_error(self):
         system = SdeSystem(constant_field(np.zeros((1, 1))), bm_driver(1), InitialLaw(np.ones(1)))

@@ -431,6 +431,11 @@ class TestSemigroup:
         b = semigroup_estimate(system, f, np.ones(1), 1e-3, 20_000, seed=3)
         assert a == b
 
+    def test_no_paths_rejected(self):
+        system = gbm_system()
+        with pytest.raises(ValueError, match="n_paths must be positive"):
+            semigroup_estimate(system, gaussian_bump(np.ones(1)), np.ones(1), 1e-3, 0, seed=0)
+
     def test_huge_surviving_paths_give_infinite_std_error(self):
         # x1^3 from 3: the survivors reach ~1e199, so the sum of squares overflows
         driver = LevyTriplet(dim=1, alpha=[0.0], cov=[[1.0]])

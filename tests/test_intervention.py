@@ -11,6 +11,7 @@ from causalsde import (
     SemModel,
     SemVertex,
     embed_constant_intervention,
+    field_from_callable,
     field_from_expressions,
     full_process_lift,
     intervene_sde,
@@ -95,6 +96,17 @@ class TestInterveneSde:
         )
         with pytest.raises(ValueError, match="two coordinates"):
             intervene_sde(system, InterventionSpec(0, 1.0))
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_hold_reading_a_missing_coordinate_rejected(self, declared):
+        # the reduced state of a 2-d system has only x1
+        system = load_builtin("ou").system
+        if not declared:
+            coeff = system.coeff
+            undeclared = field_from_callable(coeff.p, coeff.d, batch_func=coeff.batch_func)
+            system = SdeSystem(undeclared, system.driver, system.initial)
+        with pytest.raises(ValueError, match="held value reads x2"):
+            intervene_sde(system, InterventionSpec(0, "x2"))
 
 
 class TestEmbedding:

@@ -16,7 +16,6 @@ from causalsde import (
     identifiability_check,
     ks_two_sample,
     load_builtin,
-    moment_compare,
     probe_points,
 )
 from causalsde.system import InitialLaw, SdeSystem
@@ -105,37 +104,6 @@ class TestEnergy:
         a = rng.standard_normal((400, 2))
         b = rng.standard_normal((400, 2))
         assert energy_distance_test(a, b, 100, seed=9) == energy_distance_test(a, b, 100, seed=9)
-
-
-class TestMoments:
-    def test_identical_samples_give_zero(self):
-        xs = np.random.default_rng(0).standard_normal((500, 3))
-        z = moment_compare(xs, xs.copy())
-        np.testing.assert_array_equal(z["mean"], np.zeros(3))
-        np.testing.assert_array_equal(z["variance"], np.zeros(3))
-
-    def test_shift_detected(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5000, 1))
-        z = moment_compare(a, rng.standard_normal((5000, 1)) + 0.5)
-        assert abs(z["mean"][0]) > 10
-
-    def test_scale_detected(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((5000, 1))
-        z = moment_compare(a, 1.5 * rng.standard_normal((5000, 1)))
-        assert abs(z["variance"][0]) > 10
-
-    def test_null_is_small(self):
-        rng = np.random.default_rng(3)
-        pooled = rng.standard_normal((8000, 2))
-        z = moment_compare(pooled[:4000], pooled[4000:])
-        assert np.all(np.abs(z["mean"]) < 4)
-        assert np.all(np.abs(z["variance"]) < 4)
-
-    def test_tiny_sample_rejected(self):
-        with pytest.raises(ValueError, match="two observations"):
-            moment_compare(np.zeros((1, 1)), np.zeros((5, 1)))
 
 
 class TestHolm:
@@ -270,6 +238,7 @@ class TestIdentifiabilityCheck:
         doc = report.to_dict()
         for key in ("test", "statistic", "p_value", "corrected_alpha", "verdict"):
             assert key in doc
+        assert doc["correction"] == "holm"
         for entry in doc["breakdown"]:
             for key in ("test", "statistic", "p_value", "corrected_alpha", "verdict"):
                 assert key in entry
