@@ -3,6 +3,11 @@
 Every stream is a Philox generator whose 256-bit counter block encodes the
 stream's identity, so any path (or block of paths) can be regenerated in
 isolation and results never depend on how paths are split into chunks.
+
+``STREAM_VERSION`` numbers the layout of what a path draws from its stream.
+Version 2: the initial state, then ``rank`` normals per step, then one
+Poisson total of all jump atoms over the horizon with each event's step
+and atom.  A change to that layout, and so to the sampled values, bumps it.
 """
 
 from __future__ import annotations
@@ -12,12 +17,20 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+STREAM_VERSION = 2
+
 
 @functools.lru_cache(maxsize=64)
 def _philox_key(seed: int) -> tuple[int, int]:
     ss = np.random.SeedSequence(int(seed))
     k = ss.generate_state(2, np.uint64)
     return int(k[0]), int(k[1])
+
+
+def _philox(seed: int, counter: list[int]) -> np.random.Philox:
+    # a key tuple mixing a word of 2**63 or more with a smaller one would go
+    # through float64 and lose low bits, so the words go in as a uint64 array
+    return np.random.Philox(counter=counter, key=np.array(_philox_key(seed), dtype=np.uint64))
 
 
 def path_stream(seed: int, path_index: int) -> np.random.Generator:
@@ -29,19 +42,15 @@ def path_stream(seed: int, path_index: int) -> np.random.Generator:
     """
     if path_index < 0:
         raise ValueError("path_index must be nonnegative")
-    bg = np.random.Philox(counter=[0, 0, int(path_index), 0], key=_philox_key(seed))
-    return np.random.Generator(bg)
+    return np.random.Generator(_philox(seed, [0, 0, int(path_index), 0]))
 
 
 def path_streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
     """Yield, per index i, a generator drawing what ``path_stream(seed, i)`` draws:
     one Philox, built as there and re-positioned by writing its state (counter
     ``[0, 0, i, 0]``, empty buffer), valid until the next one is requested.
-    The key is passed as the ``_philox_key`` tuple; numpy rounds it through
-    float64 when it mixes a word of 2**63 or more with a smaller one (about
-    half of all seeds), and the streams depend on that rounding.
     """
-    bg = np.random.Philox(counter=[0, 0, 0, 0], key=_philox_key(seed))
+    bg = _philox(seed, [0, 0, 0, 0])
     g, state = np.random.Generator(bg), bg.state
     for index in indices:
         if index < 0:
@@ -56,8 +65,7 @@ def block_stream(seed: int, block_index: int) -> np.random.Generator:
 
     Lives in a counter region disjoint from :func:`path_stream` (high word 1).
     """
-    bg = np.random.Philox(counter=[0, 0, int(block_index), 1], key=_philox_key(seed))
-    return np.random.Generator(bg)
+    return np.random.Generator(_philox(seed, [0, 0, int(block_index), 1]))
 
 
 def derive_seed(seed: int, *tags: int) -> int:

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from ._rng import STREAM_VERSION
 from .config import ConfigError, ExperimentConfig, load_config
 from .euler import (
     Grid,
@@ -48,9 +49,10 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path: str, obj) -> None:
+def write_json(path: str, report: dict) -> None:
+    """Save a report, stamped with the stream layout its samples came from."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2)
+        json.dump(_jsonable({**report, "stream_version": STREAM_VERSION}), fh, indent=2)
         fh.write("\n")
 
 

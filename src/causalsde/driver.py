@@ -25,6 +25,7 @@ __all__ = [
     "psd_factor",
     "characteristic_function",
     "sample_increments",
+    "jump_counts",
     "assemble_increments",
     "empirical_cf",
     "default_u_grid",
@@ -100,6 +101,12 @@ class LevyTriplet:
     def gauss_factor(self) -> np.ndarray:
         """Matrix L with L @ L.T equal to the Gaussian covariance rate."""
         return psd_factor(self.cov)
+
+    @cached_property
+    def rank(self) -> int:
+        """Number of nonzero columns of ``gauss_factor`` (sorted first): the
+        normals one increment needs."""
+        return int(np.count_nonzero(np.any(self.gauss_factor != 0.0, axis=0)))
 
     @cached_property
     def jump_rates(self) -> np.ndarray:
@@ -204,31 +211,63 @@ def sample_increments(
 ) -> np.ndarray:
     """Draw a block of independent increments, shape ``size + (d,)``.
 
-    Blocks draw all Gaussian variates first and all Poisson counts second,
-    so a block is not element-for-element identical to repeated single
-    draws from the same stream (the laws agree; only stream consumption
-    order differs).
+    The stream gives all ``rank`` normals first, then the jump counts of
+    :func:`jump_counts` with the last axis of ``size`` as the steps, so a
+    block is not element-for-element identical to repeated single draws
+    from the same stream (the laws agree; only stream consumption differs).
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     shape = (size,) if np.isscalar(size) else tuple(size)
-    z = stream.standard_normal(shape + (triplet.dim,))
+    z = stream.standard_normal(shape + (triplet.rank,))
     counts = None
     if triplet.jumps:
-        counts = stream.poisson(triplet.jump_rates * delta, shape + (len(triplet.jumps),))
-    return assemble_increments(triplet, delta, z, counts, out=z)
+        lead = int(np.prod(shape[:-1], dtype=np.int64))
+        counts = jump_counts(triplet, delta, shape[-1], lead, stream).reshape(shape + (-1,))
+    out = z if triplet.rank == triplet.dim else np.empty(shape + (triplet.dim,))
+    return assemble_increments(triplet, delta, z, counts, out)
+
+
+def jump_counts(
+    triplet: LevyTriplet, delta: float, n_steps: int, n: int, stream: np.random.Generator
+) -> np.ndarray:
+    """Per-step, per-atom jump counts, shape (n, n_steps, J).
+
+    Each of the n rows draws one Poisson total of rate ``sum(rates) * delta
+    * n_steps``; then every event gets a uniform step and atom j with
+    probability ``rate_j / sum(rates)``.  By the conditional uniformity of
+    Poisson arrivals the counts are independent Poisson(``rate_j * delta``),
+    as per-step draws would be, for one Poisson call per row.
+    """
+    rates = triplet.jump_rates
+    n_jumps, total = len(rates), float(rates.sum())
+    events = stream.poisson(total * delta * n_steps, n)
+    n_events = int(events.sum())
+    if not n_events:
+        return np.zeros((n, n_steps, n_jumps), dtype=np.int64)
+    cell = stream.integers(0, n_steps, n_events) * n_jumps
+    if n_jumps > 1:
+        cdf = np.cumsum(rates) / total
+        cdf[-1] = 1.0
+        cell += np.searchsorted(cdf, stream.random(n_events), side="right")
+    cell += np.repeat(np.arange(n) * (n_steps * n_jumps), events)
+    return np.bincount(cell, minlength=n * n_steps * n_jumps).reshape(n, n_steps, n_jumps)
 
 
 def assemble_increments(triplet: LevyTriplet, delta: float, z, counts, out) -> np.ndarray:
-    """Write ``delta * drift + sqrt(delta) * z @ L.T [+ counts @ jumps]`` into ``out``.
+    """Write ``delta * drift + sqrt(delta) * z @ L[:, :rank].T [+ counts @ jumps]``
+    into ``out``, where ``z`` holds ``rank`` normals per increment.
 
     Works through the leading axis in row groups of about ``_GROUP_VALUES``
-    values, so ``out`` may be ``z``; a stacked group is multiplied one
+    values; a group's product is computed before it is written, and it
+    reads only its own rows of ``z``, so ``z`` may be a view into the
+    leading values of ``out``'s rows.  A stacked group is multiplied one
     matrix per leading row, bit-identical to assembling each row alone.
     """
-    drift, root, factor_t = delta * triplet.compensated_drift, np.sqrt(delta), triplet.gauss_factor.T
-    rows = max(1, _GROUP_VALUES // max(1, z[:1].size))
-    for r0 in range(0, len(z), rows):
+    drift, root = delta * triplet.compensated_drift, np.sqrt(delta)
+    factor_t = triplet.gauss_factor[:, : triplet.rank].T
+    rows = max(1, _GROUP_VALUES // max(1, out[:1].size))
+    for r0 in range(0, len(out), rows):
         group = slice(r0, r0 + rows)
         inc = z[group] @ factor_t
         inc *= root

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._rng import path_streams
-from .driver import LevyTriplet, assemble_increments
+from .driver import LevyTriplet, assemble_increments, jump_counts
 from .intervention import (
     InterventionSpec,
     SemModel,
@@ -52,7 +52,8 @@ __all__ = [
     "ensemble_from_csv",
 ]
 
-_CHUNK = 4096
+_CHUNK = 4096  # paths per chunk at most
+_CHUNK_VALUES = 1 << 21  # increment values per chunk at most (16 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -184,41 +185,52 @@ def _euler_paths(field: CoefficientField, x0: np.ndarray, dz: np.ndarray, keep=N
 
 
 def _draw_paths(triplet: LevyTriplet, initial: InitialLaw, grid: Grid, seed: int, indices):
-    """(x0, dz) of the paths in ``indices``: path i draws its initial state, normals
-    and Poisson counts, in that order, from its own stream."""
-    n, n_steps, n_jumps = len(indices), grid.n_steps, len(triplet.jumps)
+    """(x0, dz) of the paths in ``indices``: path i draws its initial state,
+    ``n_steps * rank`` normals and its jump counts, in that order, from its
+    own stream.  The normals go into the leading values of the path's own
+    ``dz`` row, which assembly then expands in place, so the chunk holds one
+    increment tensor."""
+    n, n_steps, rank = len(indices), grid.n_steps, triplet.rank
     random_x0 = not initial.is_fixed  # a fixed law draws nothing
     x0 = np.empty((n, initial.p)) if random_x0 else initial.sample(None, n)
     dz = np.empty((n, n_steps, triplet.dim))
-    counts = np.empty((n, n_steps, n_jumps), dtype=np.int64) if n_jumps else None
-    lam = triplet.jump_rates * grid.delta
+    normals = dz.reshape(n, -1)[:, : n_steps * rank]
+    counts = np.empty((n, n_steps, len(triplet.jumps)), dtype=np.int64) if triplet.jumps else None
     for row, g in enumerate(path_streams(seed, indices)):
         if random_x0:
             x0[row] = initial.sample(g, 1)[0]
-        g.standard_normal(out=dz[row])
-        if n_jumps:
-            counts[row] = g.poisson(lam, (n_steps, n_jumps))
-    assemble_increments(triplet, grid.delta, dz, counts, out=dz)
+        g.standard_normal(out=normals[row])
+        if counts is not None:
+            counts[row] = jump_counts(triplet, grid.delta, n_steps, 1, g)[0]
+    z = normals.reshape(n, n_steps, rank, copy=False)
+    assemble_increments(triplet, grid.delta, z, counts, out=dz)
     return x0, dz
 
 
-def _path_chunks(n_paths: int, size: int = _CHUNK) -> list[range]:
-    """``range(n_paths)`` cut into consecutive ranges of at most ``size`` paths."""
+def _all_paths(n_paths: int) -> range:
+    """One chunk of all ``n_paths`` paths, for callers that need every path at once."""
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    return [range(b0, min(b0 + size, n_paths)) for b0 in range(0, n_paths, size)]
+    return range(n_paths)
+
+
+def _path_chunks(n_paths: int, values_per_path: int) -> list[range]:
+    """``range(n_paths)`` cut into consecutive chunks of at most ``_CHUNK``
+    paths and ``_CHUNK_VALUES`` increment values (one path at least)."""
+    paths = _all_paths(n_paths)
+    size = max(1, min(_CHUNK, _CHUNK_VALUES // max(1, values_per_path)))
+    return [paths[b0 : b0 + size] for b0 in range(0, n_paths, size)]
 
 
 def driver_increments(triplet: LevyTriplet, grid: Grid, n_paths: int, seed: int) -> np.ndarray:
     """The increment tensor (n_paths, n_steps, d) that simulation of a
     fixed-initial system with the same seed consumes."""
-    [paths] = _path_chunks(n_paths, n_paths)
-    return _draw_paths(triplet, InitialLaw(np.zeros(0)), grid, seed, paths)[1]
+    return _draw_paths(triplet, InitialLaw(np.zeros(0)), grid, seed, _all_paths(n_paths))[1]
 
 
 def _simulate_chunked(system: SdeSystem, grid: Grid, n_paths: int, seed: int, keep=None):
     """Run ``n_paths`` paths in chunks; path i always draws from its own stream."""
-    chunks = _path_chunks(n_paths)
+    chunks = _path_chunks(n_paths, grid.n_steps * system.d)
     n_keep = grid.n_steps + 1 if keep is None else len(keep)
     states = np.empty((n_paths, n_keep, system.p))
     exploded = np.empty(n_paths, dtype=np.int64)
@@ -442,8 +454,7 @@ def check_commutation(
     """
     system = replace(system, coeff=replace(system.coeff, affine=None))
     p, m = system.p, spec.target
-    [paths] = _path_chunks(n_paths, n_paths)
-    x0, dz = _draw_paths(system.driver, system.initial, grid, seed, paths)
+    x0, dz = _draw_paths(system.driver, system.initial, grid, seed, _all_paths(n_paths))
 
     reduced = intervene_sde(system, spec)
     vals_b, exploded_b = _euler_paths(reduced.coeff, np.delete(x0, m, axis=1), dz)
@@ -583,7 +594,7 @@ def convergence_study(
     counts = {d: 0 for d in deltas}
     excluded = {d: 0 for d in deltas}
 
-    for paths in _path_chunks(n_paths):
+    for paths in _path_chunks(n_paths, fine.n_steps * system.d):
         x0, dz_f = _draw_paths(system.driver, system.initial, fine, seed, paths)
         n = len(paths)
         if exact is None:

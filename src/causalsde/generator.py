@@ -382,7 +382,10 @@ def semigroup_estimate(
             total += float(np.sum(vals[ok]))
             total_sq += float(np.sum(vals[ok] ** 2))
     if n_ok < 2:
-        raise ValueError("all paths exploded; no estimate")
+        raise ValueError(
+            f"no estimate: at least two surviving paths are needed, got {n_ok} "
+            f"of {n_paths} ({n_bad} exploded)"
+        )
     mean = total / n_ok
     var = (total_sq - n_ok * (mean * mean)) / (n_ok - 1)  # float ** 2 raises on overflow
     estimate = (mean - float(f(x))) / t

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from causalsde._rng import STREAM_VERSION
 from causalsde.cli import main
 from causalsde.config import ConfigError, load_config
 
@@ -168,6 +169,7 @@ class TestSubcommands:
             "labels": ["x2"],
             "dimension": 1,
             "driver_dimension": 3,
+            "stream_version": STREAM_VERSION,
         }
 
     def test_check_commute_passes_for_builtin(self, tmp_path):
@@ -183,6 +185,7 @@ class TestSubcommands:
         assert main(["check-commute", "--config", cfg, "--out", str(tmp_path)]) == 0
         doc = json.load(open(os.path.join(tmp_path, "commutation.json")))
         assert doc["passed"] is True
+        assert doc["stream_version"] == STREAM_VERSION
 
     def test_generator_report(self, tmp_path):
         cfg = write_config(tmp_path, {"system": {"kind": "builtin", "name": "two-signatures"}})
@@ -220,6 +223,7 @@ class TestSubcommands:
         assert main(["check-identify", "--config", cfg, "--out", str(tmp_path)]) == 0
         doc = json.load(open(os.path.join(tmp_path, "identifiability.json")))
         assert doc["verdict"] == "consistent with equality"
+        assert doc["stream_version"] == STREAM_VERSION
         assert doc["hypothesis"] == "ok"
 
     def test_exit_code_config_error(self, tmp_path):
@@ -261,6 +265,7 @@ class TestDemos:
         assert main(["demo", "ito-counterexample", "--out", str(tmp_path)]) == 0
         doc = json.load(open(os.path.join(tmp_path, "ito_counterexample.json")))
         assert doc["contradiction"] is True
+        assert doc["stream_version"] == STREAM_VERSION
         assert doc["max_distance_from_definition_path"] <= 1e-12
 
     def test_chem_demo(self, tmp_path):
@@ -272,6 +277,7 @@ class TestDemos:
         assert main(["demo", "two-signatures", "--out", str(tmp_path), "--seed", "1"]) == 0
         doc = json.load(open(os.path.join(tmp_path, "two_signatures_identifiability.json")))
         assert doc["verdict"] == "consistent with equality"
+        assert doc["stream_version"] == STREAM_VERSION
 
     def test_ou_demo(self, tmp_path):
         assert main(["demo", "ou", "--out", str(tmp_path), "--seed", "4"]) == 0

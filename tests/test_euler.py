@@ -33,8 +33,8 @@ from causalsde import (
     simulate_shared,
     simulate_slices,
 )
-from causalsde._rng import _philox_key, path_stream
-from causalsde.euler import _CHUNK, _draw_paths, _euler_update
+from causalsde._rng import _philox_key, block_stream, path_stream, path_streams
+from causalsde.euler import _CHUNK, _CHUNK_VALUES, _draw_paths, _euler_update, _path_chunks
 from causalsde.system import InitialLaw, SdeSystem, canonical_driver
 
 
@@ -100,10 +100,20 @@ class TestSimulate:
 
     def test_chunk_size_does_not_change_values(self, monkeypatch):
         system = load_builtin("ou").system
-        whole = simulate(system, Grid(0.5, 2.0**-5), 40, seed=6)
+        grid, n = Grid(0.5, 2.0**-5), 40
+        whole = simulate(system, grid, n, seed=6)
+        slices = simulate_slices(system, grid.delta, [0.25, 0.5], n, seed=6)
+        study = convergence_study(system, None, [2.0**-4, 2.0**-5], 0.5, n, seed=6)
+        assert len(_path_chunks(n, grid.n_steps * system.d)) == 1
         monkeypatch.setattr("causalsde.euler._CHUNK", 16)
-        chunked = simulate(system, Grid(0.5, 2.0**-5), 40, seed=6)
-        np.testing.assert_array_equal(whole.values, chunked.values)
+        monkeypatch.setattr("causalsde.euler._CHUNK_VALUES", 7 * grid.n_steps * system.d)
+        assert [len(c) for c in _path_chunks(n, grid.n_steps * system.d)] == [7] * 5 + [5]
+        assert simulate(system, grid, n, seed=6).values.tobytes() == whole.values.tobytes()
+        chunked = simulate_slices(system, grid.delta, [0.25, 0.5], n, seed=6)
+        for t in (0.25, 0.5):
+            assert chunked.state_at(t).tobytes() == slices.state_at(t).tobytes()
+        again = convergence_study(system, None, [2.0**-4, 2.0**-5], 0.5, n, seed=6)
+        assert again.rows == study.rows
 
     def test_explosion_freezes_and_flags(self):
         field = field_from_expressions([["x1 * x1 * x1"]])  # supercritical growth
@@ -173,7 +183,7 @@ class TestSharedSimulation:
 
 
 def _seed_with_high_key_words(count: int) -> int:
-    # one word at or above 2**63: numpy rounds the mixed key tuple through float64
+    # a tuple key mixing a word at or above 2**63 with a smaller one would go through float64
     return next(s for s in range(100) if sum(w >= 2**63 for w in _philox_key(s)) == count)
 
 
@@ -218,6 +228,69 @@ class TestDrawPaths:
         for idx in range(25):
             ref = sample_increments(driver, self.grid.delta, self.grid.n_steps, path_stream(seed, idx))
             assert dz[idx].tobytes() == ref.tobytes()
+
+
+class TestStreamLayout:
+    """Stream layout v2: rank normals per step, one Poisson total per path,
+    and chunks bounded by their increment values."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda s: path_stream(s, 3), lambda s: next(path_streams(s, [3])), lambda s: block_stream(s, 3)],
+        ids=["path_stream", "path_streams", "block_stream"],
+    )
+    def test_stored_philox_key_is_exact(self, make):
+        for seed in range(200):
+            key = make(seed).bit_generator.state["state"]["key"]
+            assert [int(w) for w in key] == list(_philox_key(seed))
+
+    def test_canonical_rows_draw_rank_normals(self):
+        driver = canonical_driver(2)  # deterministic time and two Wiener coordinates
+        assert (driver.dim, driver.rank) == (3, 2)
+        grid, seed, indices = Grid(1.0, 2.0**-6), 13, [0, 5, 2]
+        _, dz = _draw_paths(driver, InitialLaw(np.zeros(0)), grid, seed, indices)
+        root = np.sqrt(grid.delta)
+        for row, idx in enumerate(indices):
+            z = path_stream(seed, idx).standard_normal((grid.n_steps, 2))
+            ref = np.column_stack([np.full(grid.n_steps, grid.delta), root * z[:, 0], root * z[:, 1]])
+            assert dz[row].tobytes() == ref.tobytes()
+
+    @staticmethod
+    def counting_driver():
+        # no drift, no Gaussian part, atoms outside the ball on separate axes:
+        # each increment coordinate is a location times an atom's count
+        atoms = (JumpAtom(1.5, [2.0, 0.0]), JumpAtom(0.5, [0.0, 3.0]))
+        return LevyTriplet(dim=2, alpha=[0.0, 0.0], cov=0.0, jumps=atoms, trunc_radius=1.0)
+
+    @pytest.mark.parametrize("route", ["per_path", "block"])
+    def test_step_counts_are_independent_poisson(self, route):
+        driver, grid, n = self.counting_driver(), Grid(1.0, 2.0**-5), 4000
+        if route == "per_path":
+            dz = driver_increments(driver, grid, n, seed=31)
+        else:
+            dz = sample_increments(driver, grid.delta, (n, grid.n_steps), block_stream(31, 0))
+        counts = (dz / np.array([2.0, 3.0])).reshape(-1, 2)
+        assert np.array_equal(counts, np.round(counts))
+        cells = len(counts)
+        for j, lam in enumerate(driver.jump_rates * grid.delta):
+            assert abs(counts[:, j].mean() - lam) <= 4 * np.sqrt(lam / cells)
+            # Poisson: variance lam, and (X - lam)^2 has variance lam + 2 lam^2
+            assert abs(counts[:, j].var() - lam) <= 4 * np.sqrt((lam + 2 * lam**2) / cells)
+        assert abs(np.corrcoef(counts.T)[0, 1]) <= 4 / np.sqrt(cells)
+
+    @pytest.mark.parametrize("n_paths", [1, 699, 700, 4096, 10_000])
+    @pytest.mark.parametrize("values_per_path", [1, 12, 192, 3000, 2**21])
+    def test_chunks_stay_within_the_value_bound(self, n_paths, values_per_path):
+        chunks = _path_chunks(n_paths, values_per_path)
+        assert [i for c in chunks for i in c] == list(range(n_paths))
+        for c in chunks:
+            assert len(c) <= _CHUNK and len(c) * values_per_path <= _CHUNK_VALUES
+
+    def test_reduced_ou_chunk(self):
+        built = load_builtin("ou")
+        reduced = intervene_sde(built.system, built.intervention)
+        chunks = _path_chunks(8192, Grid(1.0, 1e-3).n_steps * reduced.d)
+        assert len(chunks[0]) == 699
 
 
 @pytest.mark.parametrize("n", [1, 7, 1000, 4096])

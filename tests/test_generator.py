@@ -436,6 +436,12 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="n_paths must be positive"):
             semigroup_estimate(system, gaussian_bump(np.ones(1)), np.ones(1), 1e-3, 0, seed=0)
 
+    def test_one_path_needs_a_second_survivor(self):
+        system = SdeSystem(constant_field(np.ones((1, 1))), bm_driver(), InitialLaw(np.zeros(1)))
+        f = gaussian_bump(np.zeros(1))
+        with pytest.raises(ValueError, match=r"at least two surviving paths.*got 1 of 1 \(0 exploded\)"):
+            semigroup_estimate(system, f, np.zeros(1), 1e-3, 1, seed=0)
+
     def test_huge_surviving_paths_give_infinite_std_error(self):
         # x1^3 from 3: the survivors reach ~1e199, so the sum of squares overflows
         driver = LevyTriplet(dim=1, alpha=[0.0], cov=[[1.0]])
