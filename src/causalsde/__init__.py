@@ -22,7 +22,6 @@ from .euler import (
     EulerSem,
     Grid,
     PathEnsemble,
-    SliceSample,
     build_euler_sem,
     check_commutation,
     convergence_study,

@@ -44,7 +44,6 @@ class ExperimentConfig:
     times: list[float]
     alpha: float
     deltas: list[float]
-    raw: dict
 
 
 def _initial_from(node) -> InitialLaw:
@@ -178,5 +177,4 @@ def load_config(source: str | dict) -> ExperimentConfig:
         times=[float(t) for t in test_node.get("times", [])],
         alpha=float(test_node.get("alpha", 0.01)),
         deltas=[float(d) for d in doc.get("convergence", {}).get("deltas", [])],
-        raw=doc,
     )

@@ -42,7 +42,6 @@ __all__ = [
     "simulate",
     "simulate_shared",
     "simulate_slices",
-    "SliceSample",
     "driver_increments",
     "check_commutation",
     "ito_counterexample",
@@ -92,10 +91,13 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Monte Carlo paths on a grid with seed provenance.
+    """Monte Carlo paths on a grid with seed provenance, kept at some or
+    all grid steps.
 
-    ``values`` has shape (n_paths, n_steps + 1, p); rows of exploded paths
-    are NaN from the recorded step onward.
+    ``values`` has shape (n_paths, len(steps), p): column s holds the states
+    at grid step ``steps[s]``.  :func:`simulate` keeps every step and
+    :func:`simulate_slices` the steps of the requested times.  Rows of
+    exploded paths are NaN from the recorded step onward.
     """
 
     grid: Grid
@@ -104,6 +106,7 @@ class PathEnsemble:
     seed: int
     path_indices: np.ndarray
     exploded_at: np.ndarray  # -1 for clean paths, else first bad step
+    steps: tuple[int, ...]  # increasing grid step index of each column
 
     @property
     def n_paths(self) -> int:
@@ -117,8 +120,14 @@ class PathEnsemble:
     def exploded_fraction(self) -> float:
         return self.n_exploded / max(1, self.n_paths)
 
+    def alive(self) -> np.ndarray:
+        return self.exploded_at < 0
+
     def state_at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t), :]
+        k = self.grid.index_of(t)
+        if k not in self.steps:
+            raise ValueError(f"time {t} was not kept")
+        return self.values[:, self.steps.index(k)]
 
     def drop_coordinate(self, m: int) -> "PathEnsemble":
         return replace(
@@ -228,18 +237,28 @@ def driver_increments(triplet: LevyTriplet, grid: Grid, n_paths: int, seed: int)
     return _draw_paths(triplet, InitialLaw(np.zeros(0)), grid, seed, _all_paths(n_paths))[1]
 
 
-def _simulate_chunked(system: SdeSystem, grid: Grid, n_paths: int, seed: int, keep=None):
-    """Run ``n_paths`` paths in chunks; path i always draws from its own stream."""
+def _simulate_chunked(
+    system: SdeSystem, grid: Grid, n_paths: int, seed: int, steps: tuple[int, ...]
+) -> PathEnsemble:
+    """Run ``n_paths`` paths in chunks, keeping the states at ``steps``;
+    path i always draws from its own stream."""
     chunks = _path_chunks(n_paths, grid.n_steps * system.d)
-    n_keep = grid.n_steps + 1 if keep is None else len(keep)
-    states = np.empty((n_paths, n_keep, system.p))
+    states = np.empty((n_paths, len(steps), system.p))
     exploded = np.empty(n_paths, dtype=np.int64)
     for paths in chunks:
         x0, dz = _draw_paths(system.driver, system.initial, grid, seed, paths)
         rows = slice(paths.start, paths.stop)
-        states[rows], exploded[rows] = _euler_paths(system.coeff, x0, dz, keep)
+        states[rows], exploded[rows] = _euler_paths(system.coeff, x0, dz, steps)
         del x0, dz  # free this chunk's increments before the next chunk draws its own
-    return states, exploded
+    return PathEnsemble(
+        grid=grid,
+        labels=system.labels,
+        values=states,
+        seed=int(seed),
+        path_indices=np.arange(n_paths),
+        exploded_at=exploded,
+        steps=steps,
+    )
 
 
 def simulate(system: SdeSystem, grid: Grid, n_paths: int, seed: int) -> PathEnsemble:
@@ -248,15 +267,7 @@ def simulate(system: SdeSystem, grid: Grid, n_paths: int, seed: int) -> PathEnse
     Path i draws its initial state and increments from its own
     counter-derived stream, so results do not depend on chunking.
     """
-    values, exploded = _simulate_chunked(system, grid, n_paths, seed)
-    return PathEnsemble(
-        grid=grid,
-        labels=system.labels,
-        values=values,
-        seed=int(seed),
-        path_indices=np.arange(n_paths),
-        exploded_at=exploded,
-    )
+    return _simulate_chunked(system, grid, n_paths, seed, tuple(range(grid.n_steps + 1)))
 
 
 def simulate_shared(
@@ -279,50 +290,22 @@ def simulate_shared(
     return [simulate(s, grid, n_paths, seed) for s in systems]
 
 
-@dataclass(frozen=True, eq=False)
-class SliceSample:
-    """States of an ensemble at selected grid times, without full path storage."""
-
-    times: tuple[float, ...]
-    states: tuple[np.ndarray, ...]  # one (n_paths, p) array per time
-    exploded_at: np.ndarray
-    labels: tuple[str, ...]
-
-    @property
-    def n_paths(self) -> int:
-        return self.exploded_at.size
-
-    @property
-    def n_exploded(self) -> int:
-        return int(np.sum(self.exploded_at >= 0))
-
-    def alive(self) -> np.ndarray:
-        return self.exploded_at < 0
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.times.index(t)]
-
-
 def simulate_slices(
     system: SdeSystem,
     delta: float,
     times: list[float],
     n_paths: int,
     seed: int,
-) -> SliceSample:
-    """Memory-light simulation keeping only the states at requested times."""
+) -> PathEnsemble:
+    """Memory-light simulation on the grid from 0 to the last requested
+    time, keeping only the steps of the requested times; times that fall
+    on one step share its column."""
     times = sorted({float(t) for t in times})
     if not times or times[0] < 0 or times[-1] <= 0:
         raise ValueError("need at least one positive time")
     grid = Grid(times[-1], delta)
-    keep = [grid.index_of(t) for t in times]
-    states, exploded = _simulate_chunked(system, grid, n_paths, seed, keep)
-    return SliceSample(
-        times=tuple(times),
-        states=tuple(states[:, s].copy() for s in range(len(keep))),
-        exploded_at=exploded,
-        labels=system.labels,
-    )
+    steps = tuple(sorted({grid.index_of(t) for t in times}))
+    return _simulate_chunked(system, grid, n_paths, seed, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +437,8 @@ def check_commutation(
     """
     system = replace(system, coeff=replace(system.coeff, affine=None))
     p, m = system.p, spec.target
+    reduced = intervene_sde(system, spec)  # rejects a bad hold before the draw
     x0, dz = _draw_paths(system.driver, system.initial, grid, seed, _all_paths(n_paths))
-
-    reduced = intervene_sde(system, spec)
     vals_b, exploded_b = _euler_paths(reduced.coeff, np.delete(x0, m, axis=1), dz)
 
     sem = build_euler_sem(system, grid).to_sem_model(x0)
@@ -522,14 +504,14 @@ def ito_counterexample(
     system = ito_pair_system(f, f_prime, f_second)
     grid = Grid(horizon, delta)
     reduced = intervene_sde(system, InterventionSpec(0, zeta))
-    ensemble = simulate(reduced, grid, n_paths, seed)
     dz = driver_increments(system.driver, grid, n_paths, seed)
+    states, exploded = _euler_paths(reduced.coeff, reduced.initial.sample(None, n_paths), dz)
     w = np.concatenate(
         [np.zeros((n_paths, 1)), np.cumsum(dz[:, :, 1], axis=1)], axis=1
     )
     times = grid.times
     closed = f(0.0) + 0.5 * f_second(zeta) * times + f_prime(zeta) * w
-    paths = ensemble.values[:, :, 0]
+    paths = states[:, :, 0]
     ok = np.isfinite(paths)
     dist_def = np.abs(np.where(ok, paths - closed, 0.0)).max()
     dist_const = np.abs(np.where(ok, paths - f(zeta), 0.0))
@@ -542,7 +524,7 @@ def ito_counterexample(
         "horizon": float(horizon),
         "delta": float(delta),
         "n_paths": int(n_paths),
-        "n_exploded": int(ensemble.n_exploded),
+        "n_exploded": int(np.sum(exploded >= 0)),
     }
 
 
@@ -640,23 +622,26 @@ def convergence_study(
 
 def ensemble_to_csv(ensemble: PathEnsemble, path: str) -> None:
     """Long-format export: header ``path,t,<labels...>``, one row per
-    (path, grid time); rows after a path's explosion point are omitted."""
+    (path, kept time); rows from a path's explosion step onward are omitted."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "t"] + list(ensemble.labels))
         times = ensemble.grid.times
         for row, idx in enumerate(ensemble.path_indices):
             stop = ensemble.exploded_at[row]
-            last = len(times) if stop < 0 else stop
-            for k in range(last):
+            for s, k in enumerate(ensemble.steps):
+                if 0 <= stop <= k:
+                    break
                 writer.writerow(
                     [int(idx), repr(float(times[k]))]
-                    + [repr(float(v)) for v in ensemble.values[row, k]]
+                    + [repr(float(v)) for v in ensemble.values[row, s]]
                 )
 
 
 def ensemble_from_csv(path: str) -> PathEnsemble:
-    """Re-import an exported ensemble; values round-trip bit-identically."""
+    """Re-import an exported full-path ensemble; values round-trip
+    bit-identically.  A file whose paths skip grid times, as the export of
+    a slice ensemble does, is rejected: its grid cannot be recovered."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -678,8 +663,9 @@ def ensemble_from_csv(path: str) -> PathEnsemble:
     exploded = np.full(len(indices), -1, dtype=np.int64)
     for r, idx in enumerate(indices):
         rows = sorted(by_path[idx])
-        for t, vals in rows:
-            values[r, grid.index_of(t)] = vals
+        if [grid.index_of(t) for t, _ in rows] != list(range(len(rows))):
+            raise ValueError(f"path {idx} does not hold consecutive grid times from 0")
+        values[r, : len(rows)] = [vals for _, vals in rows]
         if len(rows) <= n_steps:
             exploded[r] = len(rows)
     return PathEnsemble(
@@ -689,4 +675,5 @@ def ensemble_from_csv(path: str) -> PathEnsemble:
         seed=0,
         path_indices=indices,
         exploded_at=exploded,
+        steps=tuple(range(n_steps + 1)),
     )

@@ -360,6 +360,10 @@ def semigroup_estimate(
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (system.p,):
+        raise ValueError(f"x must have shape ({system.p},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x}")
     grid = Grid(t, t / n_substeps)
     block = 1 << 13  # keys block_stream, so it fixes the sampled values
     total = 0.0

@@ -190,8 +190,9 @@ def identifiability_check(
     """Test whether two systems share their postintervention distribution.
 
     Both postintervention systems are simulated with independent derived
-    seeds, compared by per-coordinate KS tests at each requested time plus
-    one energy test on the stacked slices, and Holm-corrected; the verdict
+    seeds, compared by per-coordinate KS tests at each requested time
+    (times that fall on one grid step share one test) plus one energy
+    test on the stacked slices, and Holm-corrected; the verdict
     is "consistent with equality" iff nothing rejects at the corrected
     level.  The structural generator-equality hypothesis is checked at
     probe points and reported alongside ("hypothesis": ok or violated): a
@@ -219,17 +220,18 @@ def identifiability_check(
     reduced_b = intervene_sde(sys_b, spec)
     slices_a = simulate_slices(reduced_a, delta, times, n_paths, derive_seed(seed, 1))
     slices_b = simulate_slices(reduced_b, delta, times, n_paths, derive_seed(seed, 2))
-    alive_a, alive_b = slices_a.alive(), slices_b.alive()
+    values_a = slices_a.values[slices_a.alive()]
+    values_b = slices_b.values[slices_b.alive()]
 
     breakdown = []
-    for t in times:
-        xa = slices_a.state_at(t)[alive_a]
-        xb = slices_b.state_at(t)[alive_b]
+    for s, k in enumerate(slices_a.steps):
+        t = slices_a.grid.times[k]
         for j, lab in enumerate(reduced_a.labels):
-            stat, pv = ks_two_sample(xa[:, j], xb[:, j])
+            stat, pv = ks_two_sample(values_a[:, s, j], values_b[:, s, j])
             breakdown.append({"test": f"ks[t={t:g},{lab}]", "statistic": stat, "p_value": pv})
-    stacked_a = np.concatenate([slices_a.state_at(t)[alive_a] for t in times], axis=1)
-    stacked_b = np.concatenate([slices_b.state_at(t)[alive_b] for t in times], axis=1)
+    # each alive path's kept states, time after time, as one row
+    stacked_a = values_a.reshape(len(values_a), -1)
+    stacked_b = values_b.reshape(len(values_b), -1)
     stat, pv = energy_distance_test(
         stacked_a,
         stacked_b,

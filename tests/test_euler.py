@@ -150,6 +150,29 @@ class TestSimulate:
         np.testing.assert_array_equal(sl.state_at(0.5), full.state_at(0.5))
         np.testing.assert_array_equal(sl.state_at(1.0), full.state_at(1.0))
 
+    def test_slice_lookup_tolerates_rounding(self):
+        system = load_builtin("ou").system
+        full = simulate(system, Grid(0.3, 0.1), 9, seed=3)
+        sl = simulate_slices(system, 0.1, [0.3], 9, seed=3)
+        np.testing.assert_array_equal(sl.state_at(0.1 + 0.2), full.state_at(0.3))
+        assert sl.steps == (3,)
+
+    def test_times_on_one_step_share_a_column(self):
+        system = load_builtin("ou").system
+        sl = simulate_slices(system, 0.1, [0.3, 0.1 + 0.2], 9, seed=3)
+        assert sl.steps == (3,)
+        assert sl.values.shape == (9, 1, system.p)
+        np.testing.assert_array_equal(sl.state_at(0.3), sl.state_at(0.1 + 0.2))
+
+    def test_unkept_grid_time_rejected(self):
+        sl = simulate_slices(load_builtin("ou").system, 0.25, [0.5, 1.0], 3, seed=0)
+        assert sl.steps == (2, 4)
+        with pytest.raises(ValueError, match="time 0.25 was not kept"):
+            sl.state_at(0.25)
+        with pytest.raises(ValueError, match="not on the grid"):
+            sl.state_at(0.3)
+        np.testing.assert_array_equal(sl.alive(), sl.exploded_at < 0)
+
 
 class TestSharedSimulation:
     def test_copies_are_bit_identical(self):
@@ -411,6 +434,16 @@ class TestCommutation:
         assert report["max_discrepancy"] == 0.0
         assert report["passed"]
 
+    def test_out_of_range_hold_rejected_before_the_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("paths drawn")
+
+        monkeypatch.setattr("causalsde.euler._draw_paths", refuse)
+        with pytest.raises(ValueError, match="out of range"):
+            check_commutation(
+                load_builtin("ou").system, InterventionSpec(5, 1.0), Grid(0.5, 0.25), 10, seed=0
+            )
+
     @pytest.mark.parametrize("value", [1.5, "0.5 * x1 - x2 * x2"], ids=["constant", "expression"])
     def test_gaussian_initial_law_commutes_exactly(self, value):
         report = check_commutation(
@@ -555,3 +588,19 @@ class TestCsvRoundTrip:
         with open(target) as fh:
             body = fh.read().splitlines()[1:]
         assert all("nan" not in line for line in body)
+
+    def test_slice_ensemble_writes_kept_times(self, tmp_path):
+        system = load_builtin("ou").system
+        full = simulate(system, Grid(1.0, 0.25), 3, seed=9)
+        sl = simulate_slices(system, 0.25, [0.5, 1.0], 3, seed=9)
+        target = os.path.join(tmp_path, "slices.csv")
+        ensemble_to_csv(sl, target)
+        with open(target) as fh:
+            body = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [(int(r[0]), float(r[1])) for r in body] == [
+            (i, t) for i in range(3) for t in (0.5, 1.0)
+        ]
+        values = np.array([[float(v) for v in r[2:]] for r in body]).reshape(3, 2, -1)
+        np.testing.assert_array_equal(values, full.values[:, [2, 4]])
+        with pytest.raises(ValueError, match="consecutive grid times"):
+            ensemble_from_csv(target)

@@ -436,6 +436,19 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="n_paths must be positive"):
             semigroup_estimate(system, gaussian_bump(np.ones(1)), np.ones(1), 1e-3, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "x, match",
+        [(np.zeros(2), r"shape \(1,\), got \(2,\)"), (np.array([np.nan]), "finite")],
+        ids=["wrong-size", "nan"],
+    )
+    def test_bad_start_rejected_before_the_draw(self, monkeypatch, x, match):
+        def refuse(*args):
+            raise AssertionError("block drawn")
+
+        monkeypatch.setattr("causalsde.generator.block_stream", refuse)
+        with pytest.raises(ValueError, match=match):
+            semigroup_estimate(gbm_system(), gaussian_bump(np.ones(1)), x, 1e-3, 100, seed=0)
+
     def test_one_path_needs_a_second_survivor(self):
         system = SdeSystem(constant_field(np.ones((1, 1))), bm_driver(), InitialLaw(np.zeros(1)))
         f = gaussian_bump(np.zeros(1))

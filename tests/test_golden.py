@@ -87,6 +87,11 @@ def _cubic() -> SdeSystem:
     return SdeSystem(field_from_expressions([["x1 * x1 * x1"]]), driver, _fixed(3.0))
 
 
+def _columns(s) -> list:
+    """The states of a slice ensemble as one (n, p) array per kept time."""
+    return [s.values[:, c] for c in range(len(s.steps))]
+
+
 def _case_simulate():
     ens = simulate(_planar(_gaussian()), Grid(1.0, 2.0**-6), 50, seed=11)
     return _digest(ens.values, ens.exploded_at)
@@ -94,7 +99,7 @@ def _case_simulate():
 
 def _case_slices():
     s = simulate_slices(_planar(_gaussian()), 2.0**-6, [0.25, 1.0], 50, seed=11)
-    return _digest(*s.states, s.exploded_at)
+    return _digest(*_columns(s), s.exploded_at)
 
 
 def _case_shared():
@@ -129,7 +134,7 @@ def _case_explode():
     ens = simulate(_cubic(), Grid(1.0, 2.0**-5), 64, seed=0)
     assert 0 < ens.n_exploded < ens.n_paths
     s = simulate_slices(_cubic(), 2.0**-5, [0.5, 1.0], 64, seed=0)
-    return _digest(ens.values, ens.exploded_at, *s.states, s.exploded_at)
+    return _digest(ens.values, ens.exploded_at, *_columns(s), s.exploded_at)
 
 
 def _spatial(rows) -> SdeSystem:
@@ -168,7 +173,7 @@ def _case_identifiability():
     return _digest(
         np.array(ks),
         np.array(report.extras["n_exploded"]),
-        *(x for s in slices for x in (*s.states, s.exploded_at)),
+        *(x for s in slices for x in (*_columns(s), s.exploded_at)),
     )
 
 
@@ -212,7 +217,7 @@ def _case_ou_reduced():
     builtin = load_builtin("ou")
     reduced = intervene_sde(builtin.system, builtin.intervention)
     s = simulate_slices(reduced, 2.0**-7, [0.5, 1.0], 300, seed=21)
-    return _digest(*s.states, s.exploded_at)
+    return _digest(*_columns(s), s.exploded_at)
 
 
 PINNED_STREAM_VERSION = 2

@@ -289,3 +289,20 @@ class TestItoCounterexample:
         )
         assert report["distance_assumed_at_time_zero"] == 0.0
         assert report["median_final_distance_from_assumed"] > 0.5
+
+    def test_increments_are_drawn_once(self, monkeypatch):
+        import causalsde.euler as euler
+
+        draw, calls = euler._draw_paths, []
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(euler, "_draw_paths", counted)
+        report = ito_counterexample(
+            lambda x: np.square(x), lambda x: 2.0 * x, lambda x: 2.0 + 0.0 * x,
+            zeta=1.0, horizon=1.0, delta=2.0**-8, n_paths=100, seed=3,
+        )
+        assert len(calls) == 1
+        assert report["max_distance_from_definition_path"] <= 1e-12

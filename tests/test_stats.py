@@ -229,6 +229,15 @@ class TestIdentifiabilityCheck:
         assert len(ks_entries) == 4  # two times, two coordinates
         assert report.verdict == "consistent with equality"
 
+    def test_times_on_one_step_share_a_test(self, pair):
+        sys_a, sys_b, spec = pair
+        report = identifiability_check(
+            sys_a, sys_b, spec, [0.3, 0.1 + 0.2, 0.5], 1000, 0.1, seed=1,
+            n_permutations=19, structure_points=16,
+        )
+        tests = [e["test"] for e in report.breakdown]
+        assert tests == ["ks[t=0.3,x1]", "ks[t=0.5,x1]", "energy[stacked slices]"]
+
     def test_report_field_names(self, pair):
         sys_a, sys_b, spec = pair
         report = identifiability_check(

@@ -421,7 +421,7 @@ def _array_holders():
         "Builtin": built,
         "SdeSystem": system,
         "PathEnsemble": simulate(system, grid, 3, seed=0),
-        "SliceSample": causalsde.simulate_slices(system, 0.25, [0.5], 3, seed=0),
+        "PathEnsemble-slices": causalsde.simulate_slices(system, 0.25, [0.5], 3, seed=0),
         "GeneratorTerms": compute_terms(system, np.zeros(2)),
     }
 
